@@ -7,7 +7,6 @@ composition ops, a benchmark harness, and OBJ/binary I/O.
 """
 from .mesh import (InvalidMeshError, Issue, Mesh, MeshError, bitwise_equal,
                    dereference, soups_equal, validate, vertex_bits)
-from .parallel import num_workers, set_num_workers
 from .primitives import fill_sequence, inclusive_scan, key_value_sort, scatter
 from .pipeline import (ReindexScratch, compact_vertices, compute_new_indices,
                        compute_sort_permutation, flag_first_occurrences,
@@ -34,5 +33,4 @@ __all__ = [
     "grid_quads", "run_bench", "write_csv",
     "read_obj", "write_obj", "read_bin", "write_bin",
     "random_mesh", "check_all",
-    "num_workers", "set_num_workers",
 ]

@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .mesh import Mesh, MeshError
-from .parallel import for_each_chunk, num_workers
 from .pipeline import reindex
 from .serial import reindex_serial
 
@@ -48,21 +47,8 @@ def grid_quads(n: int) -> Mesh:
     qi = (q % n).astype(np.float32)
     qj = (q // n).astype(np.float32)
 
-    vertices = np.empty((quads, 5, 2), dtype=np.float32)
-
-    def body(lo, hi):
-        vertices[lo:hi, 0, 0] = qi[lo:hi]
-        vertices[lo:hi, 0, 1] = qj[lo:hi]
-        vertices[lo:hi, 1, 0] = qi[lo:hi] + 1
-        vertices[lo:hi, 1, 1] = qj[lo:hi]
-        vertices[lo:hi, 2, 0] = qi[lo:hi] + 1
-        vertices[lo:hi, 2, 1] = qj[lo:hi] + 1
-        vertices[lo:hi, 3, 0] = qi[lo:hi]
-        vertices[lo:hi, 3, 1] = qj[lo:hi] + 1
-        vertices[lo:hi, 4, 0] = qi[lo:hi] + 0.5
-        vertices[lo:hi, 4, 1] = qj[lo:hi] + 0.5
-
-    for_each_chunk(quads, body)
+    corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]], dtype=np.float32)
+    vertices = np.stack([qi, qj], axis=1)[:, None, :] + corners
     base = np.arange(quads, dtype=np.uint32)[:, None] * 5
     elements = base + np.array([0, 1, 2, 3], dtype=np.uint32)
     return Mesh(vertices.reshape(quads * 5, 2), elements)
@@ -96,7 +82,7 @@ def run_bench(sizes: list[int], reps: int = 5) -> list[BenchRecord]:
         records.append(BenchRecord(
             n=n, quads_in=mesh.n_elements, vertices_in=mesh.n_vertices,
             vertices_out=out.n_vertices, t_serial_ms=t_serial,
-            t_parallel_ms=t_parallel, threads=num_workers()))
+            t_parallel_ms=t_parallel, threads=1))
     return records
 
 

@@ -13,7 +13,6 @@ from . import bench as bench_mod
 from . import fileio
 from .mesh import Mesh, MeshError, validate, vertex_bits
 from .ops import merge, soup_to_mesh, subset
-from .parallel import set_num_workers
 from .pipeline import mark_used, reindex
 
 _FORMATS = {"obj", "bin"}
@@ -45,17 +44,32 @@ def _save(mesh: Mesh, path: str, args) -> None:
 
 
 def _parse_ranges(text: str) -> list[int]:
-    out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
-    return sorted(set(out))
+    """argparse type for ``--keep``: "0-3,7,9" -> sorted unique positions."""
+    out: set[int] = set()
+    try:
+        for part in filter(None, (p.strip() for p in text.split(","))):
+            lo, dash, hi = part.partition("-")
+            lo = int(lo)
+            hi = int(hi) if dash else lo
+            if hi < lo:
+                raise argparse.ArgumentTypeError(f"empty range {part!r}")
+            out.update(range(lo, hi + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad range list {text!r}") from None
+    if not out:
+        raise argparse.ArgumentTypeError(f"{text!r} selects no elements")
+    return sorted(out)
+
+
+def _parse_sizes(text: str) -> list[int]:
+    """argparse type for ``--sizes``: "8,64,1024" -> grid sizes, each >= 1."""
+    try:
+        sizes = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad size list {text!r}") from None
+    if not sizes or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"sizes must be integers >= 1, got {text!r}")
+    return sizes
 
 
 def _say(args, message: str) -> None:
@@ -93,7 +107,7 @@ def _cmd_subset(args) -> int:
             raise MeshError(f"group {args.group!r} not present in {args.input}")
         keep = np.asarray(groups[args.group], dtype=np.int64)
     else:
-        keep = np.asarray(_parse_ranges(args.keep), dtype=np.int64)
+        keep = np.asarray(args.keep, dtype=np.int64)
     out = subset(mesh, keep)
     _save(out, args.output, args)
     _say(args, f"{args.output}: {out.n_vertices} vertices, {out.n_elements} elements")
@@ -108,8 +122,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    records = bench_mod.run_bench(sizes, reps=args.reps)
+    records = bench_mod.run_bench(args.sizes, reps=args.reps)
     if not args.quiet:
         print(bench_mod.format_table(records))
     if args.csv:
@@ -141,8 +154,6 @@ def _cmd_stats(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="remeshx",
                                      description="Indexed-mesh re-indexing toolkit")
-    parser.add_argument("--threads", type=int, default=None, metavar="K",
-                        help="worker count (default: REMESHX_THREADS or all cores)")
     parser.add_argument("--format", choices=sorted(_FORMATS), default=None,
                         help="force file format instead of inferring from extension")
     parser.add_argument("--dim", type=int, choices=(2, 3), default=None,
@@ -169,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--keep", metavar="RANGES", help="element positions, e.g. 0-3,7,9")
+    group.add_argument("--keep", type=_parse_ranges, metavar="RANGES",
+                       help="element positions, e.g. 0-3,7,9")
     group.add_argument("--group", metavar="NAME", help="OBJ group/material name")
     p.set_defaults(func=_cmd_subset)
 
@@ -179,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("bench", help="time serial vs parallel re-indexing")
-    p.add_argument("--sizes", required=True, metavar="N,N,...")
+    p.add_argument("--sizes", type=_parse_sizes, required=True, metavar="N,N,...")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--csv", metavar="PATH", help="also write a CSV report")
     p.set_defaults(func=_cmd_bench)
@@ -200,15 +212,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads is not None:
-        set_num_workers(args.threads)
     try:
         return args.func(args)
     except (MeshError, OSError) as exc:
         print(f"remeshx: error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        set_num_workers(None)
 
 
 def entry() -> None:

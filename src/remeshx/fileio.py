@@ -12,6 +12,8 @@ each.  The binary round trip is bit-exact for every mesh.
 """
 from __future__ import annotations
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -113,8 +115,15 @@ def _shortest(value: np.float32) -> str:
 
 
 def write_obj(mesh: Mesh, path) -> None:
-    """Write v then f lines (1-based indices), shortest round-trippable decimals."""
+    """Write v then f lines (1-based indices), shortest round-trippable decimals.
+
+    Refuses, before opening ``path``, any mesh :func:`read_obj` could not read
+    back: dim other than 2 or 3, or arity other than 3 or 4.
+    """
     require_valid(mesh)
+    if mesh.dim not in (2, 3) or mesh.arity not in (3, 4):
+        raise FormatError(f"OBJ holds dim 2 or 3 and arity 3 or 4, "
+                          f"got dim={mesh.dim} arity={mesh.arity}")
     with open(path, "w") as handle:
         for row in mesh.vertices:
             handle.write("v " + " ".join(_shortest(c) for c in row) + "\n")
@@ -143,14 +152,19 @@ def read_bin(path) -> Mesh:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if dim < 1 or arity < 1:
             raise FormatError(f"{path}: invalid dim={dim} arity={arity}")
-        vertex_bytes = dim * 4 * n_vertices
-        element_bytes = arity * 4 * n_elements
-        payload = handle.read(vertex_bytes + element_bytes + 1)
-        if len(payload) < vertex_bytes + element_bytes:
+        n_coords = dim * n_vertices
+        n_indices = arity * n_elements
+        expected = 4 * (n_coords + n_indices)
+        info = os.fstat(handle.fileno())
+        # check the header against the file before trusting it with an allocation
+        if stat.S_ISREG(info.st_mode) and info.st_size - _RMX_HEADER.size < expected:
+            raise FormatError(f"{path}: header promises {expected} payload bytes, "
+                              f"file holds {info.st_size - _RMX_HEADER.size}")
+        payload = handle.read(expected + 1)
+        if len(payload) < expected:
             raise FormatError(f"{path}: truncated payload")
-        if len(payload) > vertex_bytes + element_bytes:
+        if len(payload) > expected:
             raise FormatError(f"{path}: trailing bytes after payload")
-        vertices = np.frombuffer(payload[:vertex_bytes], dtype="<f4")
-        elements = np.frombuffer(payload[vertex_bytes:], dtype="<u4")
-    return Mesh(vertices.reshape(n_vertices, dim).astype(np.float32),
-                elements.reshape(n_elements, arity).astype(np.uint32))
+    vertices = np.frombuffer(payload, "<f4", n_coords)
+    elements = np.frombuffer(payload, "<u4", n_indices, offset=4 * n_coords)
+    return Mesh(vertices.reshape(n_vertices, dim), elements.reshape(n_elements, arity))

@@ -51,7 +51,7 @@ class Mesh:
 
     def __post_init__(self):
         vertices = np.array(self.vertices, dtype=np.float32, order="C")
-        elements = np.array(self.elements, dtype=np.uint32, order="C")
+        elements = np.array(_checked_indices(self.elements), dtype=np.uint32, order="C")
         if vertices.ndim != 2 or vertices.shape[1] < 1:
             raise MeshError(f"vertices must be (n, dim) with dim >= 1, got {vertices.shape}")
         if elements.ndim != 2 or elements.shape[1] < 1:
@@ -86,6 +86,22 @@ class Mesh:
     def __repr__(self):
         return (f"Mesh({self.n_vertices} vertices dim={self.dim}, "
                 f"{self.n_elements} elements arity={self.arity})")
+
+
+def _checked_indices(elements) -> np.ndarray:
+    """``elements`` as an integer array whose every value fits the uint32 index range."""
+    elements = np.asarray(elements)
+    if not elements.size:
+        return elements
+    if elements.dtype.kind not in "ui":
+        raise MeshError(f"element indices must be integers, got dtype {elements.dtype}")
+    if not np.can_cast(elements.dtype, np.uint32) and (
+            elements.min() < 0 or elements.max() >= MAX_VERTICES):
+        bad = (elements < 0) | (elements >= MAX_VERTICES)
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise MeshError(f"element index {int(elements[where])} at {where} "
+                        "is outside the 32-bit index range")
+    return elements
 
 
 def vertex_bits(vertices: np.ndarray) -> np.ndarray:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, MeshError, dereference, require_valid, vertex_bits
-from .parallel import for_each_chunk
+from .mesh import MAX_VERTICES, Mesh, MeshError, require_valid, vertex_bits
 from .primitives import fill_sequence, inclusive_scan, key_value_sort, scatter
 
 
@@ -42,12 +41,7 @@ def mark_used(mesh: Mesh) -> np.ndarray:
     """Boolean flag per vertex: referenced by at least one element."""
     require_valid(mesh)
     used = np.zeros(mesh.n_vertices, dtype=bool)
-    flat = mesh.elements.reshape(-1)
-
-    def body(lo, hi):
-        used[flat[lo:hi]] = True
-
-    for_each_chunk(len(flat), body)
+    used[mesh.elements.reshape(-1)] = True
     return used
 
 
@@ -71,15 +65,12 @@ def compute_sort_permutation(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def flag_first_occurrences(sorted_vtx: np.ndarray) -> np.ndarray:
     """True where a sorted vertex differs bitwise from its predecessor."""
-    n = len(sorted_vtx)
-    nodup = np.ones(n, dtype=bool)
-    if n > 1:
-        bits = vertex_bits(sorted_vtx)
-
-        def body(lo, hi):
-            nodup[lo + 1:hi + 1] = np.any(bits[lo + 1:hi + 1] != bits[lo:hi], axis=1)
-
-        for_each_chunk(n - 1, body)
+    nodup = np.ones(len(sorted_vtx), dtype=bool)
+    if len(sorted_vtx) > 1:
+        later = nodup[1:]
+        later[:] = False
+        for column in vertex_bits(sorted_vtx).T:
+            later |= column[1:] != column[:-1]
     return nodup
 
 
@@ -104,13 +95,16 @@ def invert_permutation(org_id: np.ndarray) -> np.ndarray:
     """perm with perm[org_id[i]] == i; rejects non-permutations via a coverage check."""
     org_id = np.asarray(org_id)
     n = len(org_id)
+    if n >= MAX_VERTICES:
+        raise MeshError(f"permutation of {n} entries exceeds 32-bit index range")
     if n and int(org_id.max()) >= n:
         raise MeshError(f"entry {int(org_id.max())} out of range for permutation of {n}")
-    perm = np.full(n, n, dtype=np.uint64)
-    perm[org_id] = np.arange(n, dtype=np.uint64)
+    # n marks a slot no entry reached; it fits in uint32 because n < 2**32
+    perm = np.full(n, n, dtype=np.uint32)
+    perm[org_id] = np.arange(n, dtype=np.uint32)
     if n and int(perm.max()) >= n:
         raise MeshError("input is not a permutation (repeated entries)")
-    return perm.astype(np.uint32)
+    return perm
 
 
 def remap_elements(elements: np.ndarray, perm: np.ndarray,
@@ -121,13 +115,7 @@ def remap_elements(elements: np.ndarray, perm: np.ndarray,
         raise MeshError(f"perm/new_idx length mismatch: {len(perm)} vs {len(new_idx)}")
     if elements.size and int(elements.max()) >= len(perm):
         raise MeshError(f"element index {int(elements.max())} >= vertex count {len(perm)}")
-    out = np.empty_like(elements)
-
-    def body(lo, hi):
-        out[lo:hi] = new_idx[perm[elements[lo:hi]]]
-
-    for_each_chunk(len(elements), body)
-    return out
+    return new_idx[perm[elements]]
 
 
 def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:

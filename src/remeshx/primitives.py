@@ -3,8 +3,7 @@
 Only the contracts matter to the pipeline; the implementations here lean on
 numpy's vectorized kernels.  The key-value sort is deliberately STABLE
 (ties broken by original position) so that every downstream result is
-bit-deterministic regardless of worker count -- any stable result is also a
-valid unstable one.
+bit-deterministic -- any stable result is also a valid unstable one.
 """
 from __future__ import annotations
 

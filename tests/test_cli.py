@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from remeshx import Mesh, read_bin, write_obj
 from remeshx.cli import main
@@ -97,13 +98,44 @@ def test_bench_cli_csv(tmp_path, capsys):
     assert lines[2].split(",")[3] == "81"
 
 
-def test_threads_flag(tmp_path, capsys):
+def test_reindex_twice_writes_identical_bytes(tmp_path, capsys):
     grid = tmp_path / "g.rmx"
     out1, out2 = tmp_path / "o1.rmx", tmp_path / "o2.rmx"
     assert run(capsys, "gen", "--n", 4, grid)[0] == 0
-    assert run(capsys, "--threads", 1, "reindex", grid, out1)[0] == 0
-    assert run(capsys, "--threads", 4, "reindex", grid, out2)[0] == 0
+    assert run(capsys, "reindex", grid, out1)[0] == 0
+    assert run(capsys, "reindex", grid, out2)[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_threads_flag_is_gone(tmp_path, capsys):
+    grid = tmp_path / "g.rmx"
+    assert run(capsys, "gen", "--n", 2, grid)[0] == 0
+    assert run(capsys, "--threads", 2, "reindex", grid, tmp_path / "o.rmx")[0] == 2
+
+
+@pytest.mark.parametrize("keep", ["abc", "3-1", "1-", ","])
+def test_subset_bad_keep_is_usage_error(tmp_path, capsys, keep):
+    src = tmp_path / "tri.obj"
+    src.write_text("v 0 0\nv 1 0\nv 0 1\nf 1 2 3\nf 1 3 2\nf 2 3 1\nf 3 2 1\n")
+    out = tmp_path / "out.rmx"
+    code, _, stderr = run(capsys, "subset", src, out, "--keep", keep)
+    assert code == 2 and "--keep" in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes", ["x", "4,y", "0"])
+def test_bench_bad_sizes_is_usage_error(capsys, sizes):
+    code, _, stderr = run(capsys, "bench", "--sizes", sizes)
+    assert code == 2 and "--sizes" in stderr
+
+
+def test_stats_huge_rmx_header_fails_closed(tmp_path, capsys):
+    from remeshx.fileio import _RMX_HEADER, _RMX_MAGIC
+    huge = tmp_path / "huge.rmx"
+    huge.write_bytes(_RMX_HEADER.pack(_RMX_MAGIC, 2, 3, 2**62, 1) + b"\0" * 12)
+    code, _, stderr = run(capsys, "stats", huge)
+    assert code == 1
+    assert "header promises" in stderr and "Traceback" not in stderr
 
 
 def test_format_override_and_quiet(tmp_path, capsys):

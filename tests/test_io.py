@@ -122,3 +122,28 @@ def test_bin_preserves_nan_bits(tmp_path):
     path = tmp_path / "nan.rmx"
     write_bin(mesh, path)
     assert bitwise_equal(read_bin(path), mesh)
+
+
+@pytest.mark.parametrize("n_vertices,n_elements", [(2**62, 1), (1, 2**62), (2**64 - 1, 2**64 - 1)])
+def test_bin_header_larger_than_file_is_format_error(tmp_path, n_vertices, n_elements):
+    from remeshx.fileio import _RMX_HEADER, _RMX_MAGIC
+    path = tmp_path / "huge.rmx"
+    path.write_bytes(_RMX_HEADER.pack(_RMX_MAGIC, 2, 3, n_vertices, n_elements) + b"\0" * 20)
+    with pytest.raises(FormatError, match="header promises"):
+        read_bin(path)
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4, 5])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_obj_write_round_trips_or_refuses(tmp_path, dim, arity):
+    rng = np.random.default_rng(10 * dim + arity)
+    mesh = Mesh(rng.integers(-8, 8, size=(6, dim)).astype(np.float32) / 4,
+                rng.integers(0, 6, size=(5, arity)).astype(np.uint32))
+    path = tmp_path / "m.obj"
+    if dim in (2, 3) and arity in (3, 4):
+        write_obj(mesh, path)
+        assert bitwise_equal(read_obj(path), mesh)
+    else:
+        with pytest.raises(FormatError):
+            write_obj(mesh, path)
+        assert not path.exists()

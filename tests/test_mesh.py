@@ -79,3 +79,24 @@ def test_mesh_shape_errors():
         Mesh(np.zeros((3,), np.float32), elems((0, 1, 2)))
     with pytest.raises(MeshError):
         Mesh(vtx((0, 0)), np.zeros((2,), np.uint32))
+
+
+def test_mesh_rejects_non_integer_indices():
+    with pytest.raises(MeshError, match="integers"):
+        Mesh(vtx((0, 0), (1, 1)), np.array([[0, 0.7, 1]]))
+    with pytest.raises(MeshError, match="integers"):
+        Mesh(vtx((0, 0)), np.array([[True, False, False]]))
+
+
+@pytest.mark.parametrize("bad", [-1, -7, 2**32, 2**40])
+def test_mesh_names_the_real_out_of_range_index(bad):
+    with pytest.raises(MeshError, match=rf"index {bad} at \(1, 2\)"):
+        Mesh(vtx((0, 0), (1, 1)), np.array([[0, 1, 0], [1, 0, bad]], np.int64))
+
+
+def test_mesh_accepts_int_lists_and_empty_arrays():
+    assert Mesh(vtx((0, 0), (1, 1)), [[0, 1, 1]]).elements.tolist() == [[0, 1, 1]]
+    assert Mesh(vtx((0, 0)), np.empty((0, 3), np.uint32)).n_elements == 0
+    assert Mesh(vtx((0, 0)), np.empty((0, 4))).arity == 4
+    wide = np.array([[0, 1, 2]], np.uint64)
+    assert Mesh(vtx((0, 0), (1, 1), (2, 2)), wide).elements.dtype == np.uint32

@@ -127,6 +127,14 @@ def test_invert_permutation_rejects_non_permutation():
         invert_permutation(np.array([0, 5], np.uint32))
 
 
+def test_invert_permutation_rejects_length_beyond_index_range(monkeypatch):
+    # a lowered limit stands in for 2**32, whose arrays would not fit in memory
+    monkeypatch.setattr("remeshx.pipeline.MAX_VERTICES", 4)
+    assert invert_permutation(np.array([2, 0, 1], np.uint32)).tolist() == [1, 2, 0]
+    with pytest.raises(MeshError, match="32-bit"):
+        invert_permutation(np.array([3, 2, 0, 1], np.uint32))
+
+
 def test_remap_elements_worked(worked_mesh):
     perm = np.array([0, 3, 4, 1, 6, 5, 8, 9, 2, 7], np.uint32)
     new_idx = np.array([0, 0, 0, 1, 2, 2, 3, 3, 4, 5], np.uint32)
@@ -219,3 +227,23 @@ def test_reindex_properties(mesh):
         assert np.array_equal(scratch.perm[scratch.org_id],
                               np.arange(mesh.n_vertices, dtype=np.uint32))
     assert bitwise_equal(reindex(out)[0], out)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_flag_first_occurrences_counts_bitwise_unique_rows(dim):
+    rng = np.random.default_rng(dim)
+    rows = rng.integers(0, 3, size=(40, dim)).astype(np.float32)
+    last_differs = rows[:8].copy()
+    last_differs[:, -1] += 0.5
+    signed = rows[:8].copy()
+    signed[:, -1] = -0.0
+    nan_a = np.frombuffer(np.uint32(0x7FC00001).tobytes(), np.float32)[0]
+    nan_b = np.frombuffer(np.uint32(0x7FC00002).tobytes(), np.float32)[0]
+    nans = np.tile(rows[:4], (3, 1))
+    nans[:4, -1], nans[4:8, -1], nans[8:, -1] = nan_a, nan_b, nan_a
+    vertices = np.vstack([rows, last_differs, signed, signed, nans, np.zeros((3, dim))])
+    sorted_vtx, _ = compute_sort_permutation(vertices)
+    nodup = flag_first_occurrences(sorted_vtx)
+    bits = vertex_bits(sorted_vtx)
+    assert nodup.sum() == len(np.unique(vertex_bits(vertices), axis=0))
+    assert nodup[0] and np.array_equal(nodup[1:], np.any(bits[1:] != bits[:-1], axis=1))
