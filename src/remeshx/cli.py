@@ -11,9 +11,9 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import fileio
-from .mesh import Mesh, MeshError, validate, vertex_bits
+from .mesh import Mesh, MeshError, validate
 from .ops import merge, soup_to_mesh, subset
-from .pipeline import mark_used, reindex
+from .pipeline import compute_sort_permutation, flag_first_occurrences, mark_used, reindex
 
 _FORMATS = {"obj", "bin"}
 
@@ -43,9 +43,9 @@ def _save(mesh: Mesh, path: str, args) -> None:
         fileio.write_bin(mesh, path)
 
 
-def _parse_ranges(text: str) -> list[int]:
-    """argparse type for ``--keep``: "0-3,7,9" -> sorted unique positions."""
-    out: set[int] = set()
+def _parse_ranges(text: str) -> list[tuple[int, int]]:
+    """argparse type for ``--keep``: "0-3,7,9" -> ascending, merged inclusive (lo, hi) ranges."""
+    ranges = []
     try:
         for part in filter(None, (p.strip() for p in text.split(","))):
             lo, dash, hi = part.partition("-")
@@ -53,12 +53,18 @@ def _parse_ranges(text: str) -> list[int]:
             hi = int(hi) if dash else lo
             if hi < lo:
                 raise argparse.ArgumentTypeError(f"empty range {part!r}")
-            out.update(range(lo, hi + 1))
+            ranges.append((lo, hi))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range list {text!r}") from None
-    if not out:
+    if not ranges:
         raise argparse.ArgumentTypeError(f"{text!r} selects no elements")
-    return sorted(out)
+    merged = []
+    for lo, hi in sorted(ranges):
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -107,7 +113,13 @@ def _cmd_subset(args) -> int:
             raise MeshError(f"group {args.group!r} not present in {args.input}")
         keep = np.asarray(groups[args.group], dtype=np.int64)
     else:
-        keep = np.asarray(args.keep, dtype=np.int64)
+        # ranges are merged and ascending, so the last one ends highest
+        last = args.keep[-1][1]
+        if last >= mesh.n_elements:
+            raise MeshError(f"--keep position {last} out of range [0, {mesh.n_elements})")
+        keep = np.zeros(mesh.n_elements, dtype=bool)
+        for lo, hi in args.keep:
+            keep[lo:hi + 1] = True
     out = subset(mesh, keep)
     _save(out, args.output, args)
     _say(args, f"{args.output}: {out.n_vertices} vertices, {out.n_elements} elements")
@@ -142,7 +154,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stats(args) -> int:
     mesh = _load(args.input, args)
-    unique = len(np.unique(vertex_bits(mesh.vertices), axis=0)) if mesh.n_vertices else 0
+    unique = int(flag_first_occurrences(compute_sort_permutation(mesh.vertices)[0]).sum())
     unused = mesh.n_vertices - int(mark_used(mesh).sum())
     print(f"vertices:  {mesh.n_vertices} (dim {mesh.dim})")
     print(f"elements:  {mesh.n_elements} (arity {mesh.arity})")

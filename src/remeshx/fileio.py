@@ -18,10 +18,11 @@ import struct
 
 import numpy as np
 
-from .mesh import Mesh, MeshError, require_valid
+from .mesh import MAX_VERTICES, Mesh, MeshError, require_valid
 
 _RMX_MAGIC = b"RMX1"
 _RMX_HEADER = struct.Struct("<4sIIQQ")
+_STREAM_CHUNK = 1 << 20
 
 
 class FormatError(MeshError):
@@ -152,15 +153,22 @@ def read_bin(path) -> Mesh:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if dim < 1 or arity < 1:
             raise FormatError(f"{path}: invalid dim={dim} arity={arity}")
+        if n_vertices >= MAX_VERTICES:
+            raise FormatError(f"{path}: header promises {n_vertices} vertices, "
+                              "beyond the 32-bit index range")
         n_coords = dim * n_vertices
         n_indices = arity * n_elements
         expected = 4 * (n_coords + n_indices)
         info = os.fstat(handle.fileno())
-        # check the header against the file before trusting it with an allocation
-        if stat.S_ISREG(info.st_mode) and info.st_size - _RMX_HEADER.size < expected:
-            raise FormatError(f"{path}: header promises {expected} payload bytes, "
-                              f"file holds {info.st_size - _RMX_HEADER.size}")
-        payload = handle.read(expected + 1)
+        if stat.S_ISREG(info.st_mode):
+            # check the header against the file before trusting it with an allocation
+            if info.st_size - _RMX_HEADER.size < expected:
+                raise FormatError(f"{path}: header promises {expected} payload bytes, "
+                                  f"file holds {info.st_size - _RMX_HEADER.size}")
+            payload = handle.read(expected + 1)
+        else:
+            # a pipe or device has no size to check, so grow the buffer only as data arrives
+            payload = _read_upto(handle, expected + 1)
         if len(payload) < expected:
             raise FormatError(f"{path}: truncated payload")
         if len(payload) > expected:
@@ -168,3 +176,14 @@ def read_bin(path) -> Mesh:
     vertices = np.frombuffer(payload, "<f4", n_coords)
     elements = np.frombuffer(payload, "<u4", n_indices, offset=4 * n_coords)
     return Mesh(vertices.reshape(n_vertices, dim), elements.reshape(n_elements, arity))
+
+
+def _read_upto(handle, limit: int) -> bytearray:
+    """Read until end of file or ``limit`` bytes, in chunks."""
+    data = bytearray()
+    while len(data) < limit:
+        chunk = handle.read(min(limit - len(data), _STREAM_CHUNK))
+        if not chunk:
+            break
+        data += chunk
+    return data

@@ -124,7 +124,7 @@ def require_valid(mesh: Mesh) -> None:
 def dereference(mesh: Mesh) -> np.ndarray:
     """Expand a mesh into its soup: ``out[e, k] = vertices[elements[e, k]]``."""
     require_valid(mesh)
-    return mesh.vertices[mesh.elements]
+    return np.take(mesh.vertices, mesh.elements, axis=0)
 
 
 def soups_equal(a: np.ndarray, b: np.ndarray) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import MAX_VERTICES, Mesh, MeshError, require_valid, vertex_bits
-from .primitives import fill_sequence, inclusive_scan, key_value_sort, scatter
+from .primitives import bitwise_sort_order, inclusive_scan, scatter
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,8 @@ def overwrite_unused(vertices: np.ndarray, is_used: np.ndarray,
 def compute_sort_permutation(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable bitwise sort; returns (sorted vertices, origin of each sorted slot)."""
     vertices = np.asarray(vertices, dtype=np.float32)
-    return key_value_sort(vertices, fill_sequence(len(vertices)))
+    org_id = bitwise_sort_order(vertices)
+    return np.take(vertices, org_id, axis=0), org_id
 
 
 def flag_first_occurrences(sorted_vtx: np.ndarray) -> np.ndarray:
@@ -97,6 +98,9 @@ def invert_permutation(org_id: np.ndarray) -> np.ndarray:
     n = len(org_id)
     if n >= MAX_VERTICES:
         raise MeshError(f"permutation of {n} entries exceeds 32-bit index range")
+    # negative entries would wrap around in the scatter below and pass both checks
+    if n and org_id.dtype.kind != "u" and int(org_id.min()) < 0:
+        raise MeshError(f"entry {int(org_id.min())} out of range for permutation of {n}")
     if n and int(org_id.max()) >= n:
         raise MeshError(f"entry {int(org_id.max())} out of range for permutation of {n}")
     # n marks a slot no entry reached; it fits in uint32 because n < 2**32

@@ -20,10 +20,27 @@ def fill_sequence(n: int) -> np.ndarray:
 
 
 def bitwise_sort_order(keys: np.ndarray) -> np.ndarray:
-    """Stable ascending order of vertex rows under the bitwise lexicographic order."""
+    """Stable ascending order of vertex rows under the bitwise lexicographic order.
+
+    An LSD sort on packed keys: one stable pass per pair of components, from
+    the least significant pair up, each on the uint64 ``(bits[hi] << 32) |
+    bits[hi + 1]``; an odd leading component sorts alone as uint32.  The order
+    equals a stable lexicographic sort of the uint32 component rows.
+    """
     bits = vertex_bits(np.atleast_2d(keys))
-    # lexsort's last key is primary, so feed components in reverse
-    return np.lexsort(bits.T[::-1]).astype(np.uint32)
+    if bits.shape[1] == 0:
+        raise MeshError("cannot sort rows with no components")
+    order = None
+    for hi in range(bits.shape[1] - 2, -2, -2):
+        if hi < 0:
+            key = bits[:, 0]
+        else:
+            key = (bits[:, hi].astype(np.uint64) << 32) | bits[:, hi + 1]
+        if order is None:
+            order = np.argsort(key, kind="stable")
+        else:
+            order = order[np.argsort(key[order], kind="stable")]
+    return order.astype(np.uint32)
 
 
 def key_value_sort(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -36,11 +53,19 @@ def key_value_sort(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np
     if len(keys) != len(values):
         raise MeshError(f"key/value length mismatch: {len(keys)} vs {len(values)}")
     order = bitwise_sort_order(keys)
-    return keys[order], values[order]
+    return np.take(keys, order, axis=0), np.take(values, order, axis=0)
 
 
 def inclusive_scan(flags: np.ndarray) -> np.ndarray:
-    """out[i] = flags[0] + ... + flags[i], with a 64-bit accumulator."""
+    """out[i] = flags[0] + ... + flags[i], as uint32.
+
+    A bool input shorter than ``MAX_VERTICES`` is scanned straight into
+    uint32, since its total cannot exceed its length; any other input is
+    accumulated in int64 and its total checked against the 32-bit range.
+    """
+    flags = np.asarray(flags)
+    if flags.dtype == bool and flags.size < MAX_VERTICES:
+        return np.cumsum(flags, dtype=np.uint32)
     acc = np.cumsum(flags, dtype=np.int64)
     if acc.size and not (0 <= int(acc[-1]) < MAX_VERTICES):
         raise OverflowError(f"scan total {int(acc[-1])} outside 32-bit range")
@@ -64,5 +89,5 @@ def scatter(values: np.ndarray, positions: np.ndarray, mask: np.ndarray,
     if pos.size and int(pos.max()) >= out_len:
         raise MeshError(f"scatter position {int(pos.max())} >= output length {out_len}")
     out = np.empty((out_len,) + values.shape[1:], dtype=values.dtype)
-    out[pos] = values[mask]
+    out[pos] = np.compress(mask, values, axis=0)
     return out

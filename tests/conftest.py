@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,3 +27,21 @@ def vtx(*rows):
 
 def elems(*rows):
     return np.array(rows, np.uint32)
+
+
+def feed_fifo(path, data: bytes) -> threading.Thread:
+    """Write ``data`` into the FIFO at ``path`` from a daemon thread, then close it.
+
+    Opening a FIFO for writing blocks until a reader opens it, so the reader
+    under test must open ``path``; join the returned thread with a timeout.
+    """
+    def write():
+        try:
+            with open(path, "wb") as handle:
+                handle.write(data)
+        except BrokenPipeError:
+            pass  # the reader stopped early, as a fail-closed reader may
+
+    thread = threading.Thread(target=write, daemon=True)
+    thread.start()
+    return thread

@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
-from remeshx import Mesh, read_bin, write_obj
-from remeshx.cli import main
-from conftest import elems, vtx
+from remeshx import Mesh, read_bin, write_bin, write_obj
+from remeshx.cli import _parse_ranges, main
+from remeshx.fileio import _RMX_HEADER, _RMX_MAGIC
+from conftest import elems, feed_fifo, vtx
 
 
 def run(capsys, *args):
@@ -130,12 +133,55 @@ def test_bench_bad_sizes_is_usage_error(capsys, sizes):
 
 
 def test_stats_huge_rmx_header_fails_closed(tmp_path, capsys):
-    from remeshx.fileio import _RMX_HEADER, _RMX_MAGIC
     huge = tmp_path / "huge.rmx"
     huge.write_bytes(_RMX_HEADER.pack(_RMX_MAGIC, 2, 3, 2**62, 1) + b"\0" * 12)
     code, _, stderr = run(capsys, "stats", huge)
     assert code == 1
     assert "header promises" in stderr and "Traceback" not in stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_stats_huge_rmx_header_from_fifo_fails_closed(tmp_path, capsys):
+    fifo = tmp_path / "huge.rmx"
+    os.mkfifo(fifo)
+    writer = feed_fifo(fifo, _RMX_HEADER.pack(_RMX_MAGIC, 2, 3, 2**62, 1))
+    code, _, stderr = run(capsys, "stats", fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert code == 1 and "32-bit" in stderr
+
+
+def test_stats_counts_duplicates_on_bit_patterns(tmp_path, capsys):
+    nan_a, nan_b = np.array([0x7FC00001, 0x7FC00002], np.uint32).view(np.float32)
+    # duplicates: the second (0, 1) and the second nan_a row; -0.0 and nan_b stay distinct
+    mesh = Mesh(vtx((0.0, 1), (-0.0, 1), (0.0, 1), (nan_a, 2), (nan_b, 2), (nan_a, 2), (-1, 3)),
+                elems((0, 1, 2), (3, 4, 5), (6, 6, 6)))
+    path = tmp_path / "m.rmx"
+    write_bin(mesh, path)
+    code, stdout, _ = run(capsys, "stats", path)
+    assert code == 0
+    assert "duplicate vertices: 2" in stdout
+    assert "unused vertices:    0" in stdout
+
+
+def test_keep_parses_to_merged_ranges():
+    assert _parse_ranges("7,0-3,2-5,9") == [(0, 5), (7, 7), (9, 9)]
+    assert _parse_ranges("4-6,0-1,2-3") == [(0, 6)]
+    assert _parse_ranges("0-99999999999") == [(0, 99999999999)]
+
+
+def test_subset_keep_ranges_select_and_bound_check(tmp_path, capsys):
+    src = tmp_path / "tri.obj"
+    src.write_text("v 0 0\nv 1 0\nv 0 1\nf 1 2 3\nf 1 3 2\nf 2 3 1\nf 3 2 1\n")
+    out = tmp_path / "out.rmx"
+    assert run(capsys, "subset", src, out, "--keep", "3,0-1,1")[0] == 0
+    assert read_bin(out).n_elements == 3
+    out.unlink()
+    # a range past the element count is refused before any mask is built
+    for keep in ("0-99999999999", "4", "1,2-4"):
+        code, _, stderr = run(capsys, "subset", src, out, "--keep", keep)
+        assert code == 1 and "out of range" in stderr
+        assert not out.exists()
 
 
 def test_format_override_and_quiet(tmp_path, capsys):

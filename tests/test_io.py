@@ -1,9 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 
-from remeshx import (FormatError, Mesh, bitwise_equal, equivalent, read_bin,
+from remeshx import (FormatError, Mesh, bitwise_equal, equivalent, grid_quads, read_bin,
                      read_obj, write_bin, write_obj)
-from conftest import A, B, C, elems, vtx
+from remeshx.fileio import _RMX_HEADER, _RMX_MAGIC
+from conftest import A, B, C, elems, feed_fifo, vtx
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 
 
 def test_obj_minimal(tmp_path):
@@ -126,11 +131,42 @@ def test_bin_preserves_nan_bits(tmp_path):
 
 @pytest.mark.parametrize("n_vertices,n_elements", [(2**62, 1), (1, 2**62), (2**64 - 1, 2**64 - 1)])
 def test_bin_header_larger_than_file_is_format_error(tmp_path, n_vertices, n_elements):
-    from remeshx.fileio import _RMX_HEADER, _RMX_MAGIC
     path = tmp_path / "huge.rmx"
     path.write_bytes(_RMX_HEADER.pack(_RMX_MAGIC, 2, 3, n_vertices, n_elements) + b"\0" * 20)
     with pytest.raises(FormatError, match="header promises"):
         read_bin(path)
+
+
+@needs_fifo
+@pytest.mark.parametrize("n_vertices,match", [(2**62, "32-bit"), (2**31, "truncated")])
+def test_bin_huge_header_from_fifo_is_format_error(tmp_path, n_vertices, match):
+    # a FIFO has no size to check the header against; 2**31 dim-3 vertices
+    # would be a 24 GiB read, which must not be allocated up front
+    path = tmp_path / "huge.rmx"
+    os.mkfifo(path)
+    writer = feed_fifo(path, _RMX_HEADER.pack(_RMX_MAGIC, 3, 3, n_vertices, 1))
+    with pytest.raises(FormatError, match=match):
+        read_bin(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+@needs_fifo
+def test_bin_round_trips_through_fifo(tmp_path):
+    mesh = grid_quads(200)  # a payload of several read chunks
+    good = tmp_path / "good.rmx"
+    write_bin(mesh, good)
+    path = tmp_path / "pipe.rmx"
+    os.mkfifo(path)
+    writer = feed_fifo(path, good.read_bytes())
+    assert bitwise_equal(read_bin(path), mesh)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    writer = feed_fifo(path, good.read_bytes() + b"\0")
+    with pytest.raises(FormatError, match="trailing"):
+        read_bin(path)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 @pytest.mark.parametrize("arity", [2, 3, 4, 5])

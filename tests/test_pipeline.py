@@ -127,6 +127,14 @@ def test_invert_permutation_rejects_non_permutation():
         invert_permutation(np.array([0, 5], np.uint32))
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+def test_invert_permutation_rejects_negative_entries(dtype):
+    # -1 would wrap to the last slot, and [-1, 0] would then pass for [1, 0]
+    with pytest.raises(MeshError, match="-1"):
+        invert_permutation(np.array([-1, 0], dtype))
+    assert invert_permutation(np.array([1, 0], dtype)).tolist() == [1, 0]
+
+
 def test_invert_permutation_rejects_length_beyond_index_range(monkeypatch):
     # a lowered limit stands in for 2**32, whose arrays would not fit in memory
     monkeypatch.setattr("remeshx.pipeline.MAX_VERTICES", 4)

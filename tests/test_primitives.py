@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from remeshx import (MeshError, fill_sequence, inclusive_scan, key_value_sort,
                      scatter, vertex_bits)
+from remeshx.primitives import bitwise_sort_order
 from conftest import A, B, C, D, E, F, vtx
 
 
@@ -50,6 +51,39 @@ def test_key_value_sort_is_permutation_of_pairs(rows):
     assert all(tuple(bits[i]) <= tuple(bits[i + 1]) for i in range(len(rows) - 1))
 
 
+# bit patterns whose order as unsigned ints differs from float order: +0.0 and
+# -0.0, NaNs with distinct payloads and sign, negatives (high bit set), infinities
+_AWKWARD_BITS = [0x00000000, 0x80000000, 0x7FC00000, 0x7FC00123, 0xFFC00001,
+                 0x3F800000, 0xBF800000, 0x00000001, 0x7F800000, 0xFF800000,
+                 0xFFFFFFFF, 0x7FFFFFFF]
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 5).flatmap(lambda dim: st.lists(
+    st.lists(st.sampled_from(_AWKWARD_BITS), min_size=dim, max_size=dim), max_size=60)
+    .map(lambda rows: np.array(rows, np.uint32).reshape(len(rows), dim))))
+def test_bitwise_sort_order_equals_stable_lexsort_of_bit_rows(bits):
+    vertices = bits.view(np.float32)
+    # the reference is computed here: serial.equivalent sorts with the function under test
+    expected = np.lexsort(vertex_bits(vertices).T[::-1])
+    order = bitwise_sort_order(vertices)
+    assert order.dtype == np.uint32
+    assert order.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_bitwise_sort_order_small_and_tied_inputs(dim):
+    assert bitwise_sort_order(np.empty((0, dim), np.float32)).tolist() == []
+    assert bitwise_sort_order(np.full((1, dim), -0.0, np.float32)).tolist() == [0]
+    # all rows tied: a stable sort keeps the input order
+    assert bitwise_sort_order(np.ones((7, dim), np.float32)).tolist() == list(range(7))
+
+
+def test_bitwise_sort_order_rejects_rows_without_components():
+    with pytest.raises(MeshError):
+        bitwise_sort_order(np.empty((3, 0), np.float32))
+
+
 def test_inclusive_scan_worked_example():
     flags = [1, 0, 0, 1, 1, 0, 1, 0, 1, 1]
     assert inclusive_scan(flags).tolist() == [1, 1, 1, 2, 3, 3, 4, 4, 5, 6]
@@ -60,9 +94,10 @@ def test_inclusive_scan_trivial():
     assert inclusive_scan([1, 1, 1]).tolist() == [1, 2, 3]
 
 
-@given(st.lists(st.integers(0, 1), max_size=200))
-def test_inclusive_scan_last_equals_popcount(flags):
-    out = inclusive_scan(flags)
+@given(st.lists(st.integers(0, 1), max_size=200), st.booleans())
+def test_inclusive_scan_last_equals_popcount(flags, as_bool):
+    out = inclusive_scan(np.array(flags, bool) if as_bool else flags)
+    assert out.tolist() == np.cumsum(flags, dtype=np.int64).tolist()
     if flags:
         assert int(out[-1]) == sum(flags)
     assert out.dtype == np.uint32
