@@ -3,8 +3,8 @@
 OBJ is read permissively (v/f plus ignorable directives); group and material
 directives are collected as element annotations for subset selection but do
 not affect geometry.  The writer emits the shortest decimal that
-round-trips each float32, so ``read_obj(write_obj(m))`` is bit-exact for
-finite coordinates.
+round-trips each float32, so ``read_obj(write_obj(m))`` is bit-exact; the
+writer refuses what the text cannot carry (see :func:`write_obj`).
 
 RMX1 layout (little-endian): magic ``RMX1``, u32 dim, u32 arity, u64 vertex
 count, u64 element count, vertices as dim x f32 each, elements as arity x u32
@@ -18,11 +18,12 @@ import struct
 
 import numpy as np
 
-from .mesh import MAX_VERTICES, Mesh, MeshError, require_valid
+from .mesh import MAX_VERTICES, Mesh, MeshError, require_valid, vertex_bits
 
 _RMX_MAGIC = b"RMX1"
 _RMX_HEADER = struct.Struct("<4sIIQQ")
 _STREAM_CHUNK = 1 << 20
+_OBJ_NAN_BITS = 0x7FC00000  # the float32 that read_obj makes of the text "nan"
 
 
 class FormatError(MeshError):
@@ -119,12 +120,23 @@ def write_obj(mesh: Mesh, path) -> None:
     """Write v then f lines (1-based indices), shortest round-trippable decimals.
 
     Refuses, before opening ``path``, any mesh :func:`read_obj` could not read
-    back: dim other than 2 or 3, or arity other than 3 or 4.
+    back bit-exactly: dim other than 2 or 3, arity other than 3 or 4, dim 3
+    with no vertices or arity 4 with no elements (the file then reads back as
+    dim 2 or arity 3), and a NaN other than 0x7fc00000 (every NaN is written
+    as ``nan``, which loses its sign and payload).
     """
     require_valid(mesh)
     if mesh.dim not in (2, 3) or mesh.arity not in (3, 4):
         raise FormatError(f"OBJ holds dim 2 or 3 and arity 3 or 4, "
                           f"got dim={mesh.dim} arity={mesh.arity}")
+    if (mesh.n_vertices == 0 and mesh.dim != 2) or (mesh.n_elements == 0 and mesh.arity != 3):
+        raise FormatError("an OBJ file without vertices or faces cannot record "
+                          f"dim={mesh.dim} arity={mesh.arity}")
+    lossy = np.isnan(mesh.vertices) & (vertex_bits(mesh.vertices) != _OBJ_NAN_BITS)
+    if lossy.any():
+        vertex, component = (int(i) for i in np.argwhere(lossy)[0])
+        raise FormatError(f"vertex {vertex} component {component} is a NaN with sign or "
+                          "payload bits, which OBJ's 'nan' cannot carry")
     with open(path, "w") as handle:
         for row in mesh.vertices:
             handle.write("v " + " ".join(_shortest(c) for c in row) + "\n")

@@ -21,6 +21,35 @@ class MeshError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def index_array(values, bound: int, what: str, ndim: int | None = None) -> np.ndarray:
+    """Gate for index arguments: an integer array, of ``ndim`` axes if given, entries in
+    [0, bound).  Empty input of any dtype passes as uint32 (``np.asarray([])`` is float64)."""
+    values = np.asarray(values)
+    if ndim is not None and values.ndim != ndim:
+        raise MeshError(f"{what} array must have {ndim} axes, got shape {values.shape}")
+    if not values.size:
+        return values.astype(np.uint32)
+    if values.dtype.kind not in "ui":
+        raise MeshError(f"{what} must be integers, got dtype {values.dtype}")
+    if values.dtype.kind == "u" and np.iinfo(values.dtype).max < bound:
+        return values
+    if (values.dtype.kind == "i" and values.min() < 0) or values.max() >= bound:
+        where = tuple(int(i) for i in np.argwhere((values < 0) | (values >= bound))[0])
+        raise MeshError(f"{what} {int(values[where])} at {where} is outside [0, {bound})")
+    return values
+
+
+def vertex_rows(values, what: str, ndim: int = 2) -> np.ndarray:
+    """Gate for vertex arguments: a float32 array of ``ndim`` axes, last axis at least 1."""
+    try:
+        rows = np.asarray(values, dtype=np.float32)
+    except (TypeError, ValueError) as exc:
+        raise MeshError(f"{what} must be numeric: {exc}") from None
+    if rows.ndim != ndim or rows.shape[-1] < 1:
+        raise MeshError(f"{what} needs {ndim} axes and >= 1 component, got shape {rows.shape}")
+    return rows
+
+
 class InvalidMeshError(MeshError):
     """A mesh failed validation (some element index is out of range)."""
 
@@ -50,11 +79,10 @@ class Mesh:
     elements: np.ndarray
 
     def __post_init__(self):
-        vertices = np.array(self.vertices, dtype=np.float32, order="C")
-        elements = np.array(_checked_indices(self.elements), dtype=np.uint32, order="C")
-        if vertices.ndim != 2 or vertices.shape[1] < 1:
-            raise MeshError(f"vertices must be (n, dim) with dim >= 1, got {vertices.shape}")
-        if elements.ndim != 2 or elements.shape[1] < 1:
+        vertices = np.array(vertex_rows(self.vertices, "vertices"), order="C")
+        elements = np.array(index_array(self.elements, MAX_VERTICES, "element index", ndim=2),
+                            dtype=np.uint32, order="C")
+        if elements.shape[1] < 1:
             raise MeshError(f"elements must be (m, arity) with arity >= 1, got {elements.shape}")
         if len(vertices) >= MAX_VERTICES:
             raise MeshError(f"vertex count {len(vertices)} exceeds 32-bit index range")
@@ -65,6 +93,8 @@ class Mesh:
 
     @classmethod
     def empty(cls, dim: int = 2, arity: int = 3) -> "Mesh":
+        if dim < 1 or arity < 1:
+            raise MeshError(f"an empty mesh needs dim >= 1 and arity >= 1, got {dim} and {arity}")
         return cls(np.empty((0, dim), np.float32), np.empty((0, arity), np.uint32))
 
     @property
@@ -88,26 +118,9 @@ class Mesh:
                 f"{self.n_elements} elements arity={self.arity})")
 
 
-def _checked_indices(elements) -> np.ndarray:
-    """``elements`` as an integer array whose every value fits the uint32 index range."""
-    elements = np.asarray(elements)
-    if not elements.size:
-        return elements
-    if elements.dtype.kind not in "ui":
-        raise MeshError(f"element indices must be integers, got dtype {elements.dtype}")
-    if not np.can_cast(elements.dtype, np.uint32) and (
-            elements.min() < 0 or elements.max() >= MAX_VERTICES):
-        bad = (elements < 0) | (elements >= MAX_VERTICES)
-        where = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise MeshError(f"element index {int(elements[where])} at {where} "
-                        "is outside the 32-bit index range")
-    return elements
-
-
 def vertex_bits(vertices: np.ndarray) -> np.ndarray:
     """uint32 view of a float32 vertex array; the basis of all comparisons."""
-    vertices = np.ascontiguousarray(vertices, dtype=np.float32)
-    return vertices.view(np.uint32)
+    return vertex_rows(vertices, "vertices").view(np.uint32)
 
 
 def validate(mesh: Mesh) -> list[Issue]:
@@ -129,9 +142,8 @@ def dereference(mesh: Mesh) -> np.ndarray:
 
 def soups_equal(a: np.ndarray, b: np.ndarray) -> bool:
     """Bitwise elementwise equality of two soups."""
-    if a.shape != b.shape:
-        return False
-    return bool(np.array_equal(vertex_bits(a.reshape(-1, 1)), vertex_bits(b.reshape(-1, 1))))
+    a, b = vertex_rows(a, "soup", ndim=3), vertex_rows(b, "soup", ndim=3)
+    return a.shape == b.shape and bool(np.array_equal(a.view(np.uint32), b.view(np.uint32)))
 
 
 def bitwise_equal(a: Mesh, b: Mesh) -> bool:

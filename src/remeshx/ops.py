@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MAX_VERTICES, Mesh, MeshError, require_valid
+from .mesh import MAX_VERTICES, Mesh, MeshError, index_array, require_valid, vertex_rows
 from .pipeline import reindex
 
 
@@ -25,13 +25,14 @@ def merge(meshes: list[Mesh]) -> Mesh:
     if total >= MAX_VERTICES:
         raise MeshError(f"merged vertex count {total} exceeds 32-bit index range")
 
-    vertices = np.vstack([m.vertices for m in meshes]) if meshes else None
+    vertices = np.vstack([m.vertices for m in meshes])
     shifted = []
     offset = 0
     for m in meshes:
-        shifted.append(m.elements.astype(np.uint64) + offset)
+        # cannot wrap: every index is below its mesh's vertex count and total < 2**32
+        shifted.append(m.elements + np.uint32(offset))
         offset += m.n_vertices
-    elements = np.vstack(shifted).astype(np.uint32)
+    elements = np.vstack(shifted)
     return reindex(Mesh(vertices, elements))[0]
 
 
@@ -42,12 +43,7 @@ def soup_to_mesh(soup: np.ndarray) -> Mesh:
     indexing ``[(0..K-1), (K..2K-1), ...]`` is re-indexed into shared form;
     dereferencing the result reproduces the soup exactly.
     """
-    try:
-        arr = np.asarray(soup, dtype=np.float32)
-    except (ValueError, TypeError) as exc:
-        raise MeshError(f"ragged soup: {exc}") from None
-    if arr.ndim != 3:
-        raise MeshError(f"soup must be a (m, arity, dim) array, got shape {arr.shape}")
+    arr = vertex_rows(soup, "soup", ndim=3)
     m, arity, dim = arr.shape
     if m == 0:
         return Mesh.empty(dim=dim, arity=arity)
@@ -71,17 +67,12 @@ def subset(mesh: Mesh, keep) -> Mesh:
 def _normalize_selector(keep, n_elements: int) -> np.ndarray:
     sel = np.asarray(keep)
     if sel.dtype == bool:
-        if len(sel) != n_elements:
-            raise MeshError(f"mask length {len(sel)} != element count {n_elements}")
+        if sel.shape != (n_elements,):
+            raise MeshError(f"mask of shape {sel.shape} for {n_elements} elements")
         return sel
-    sel = sel.reshape(-1)
-    if sel.size:
-        if not np.issubdtype(sel.dtype, np.integer):
-            raise MeshError(f"selector must be a bool mask or integer positions, got {sel.dtype}")
-        if int(sel.min()) < 0 or int(sel.max()) >= n_elements:
-            raise MeshError(f"selector position out of range [0, {n_elements})")
-        if sel.size > 1 and not np.all(sel[1:] > sel[:-1]):
-            raise MeshError("selector positions must be strictly ascending and unique")
+    sel = index_array(sel, n_elements, "selector position").reshape(-1)
+    if sel.size > 1 and not np.all(sel[1:] > sel[:-1]):
+        raise MeshError("selector positions must be strictly ascending and unique")
     mask = np.zeros(n_elements, dtype=bool)
-    mask[sel.astype(np.int64)] = True
+    mask[sel] = True
     return mask

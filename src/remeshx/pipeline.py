@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MAX_VERTICES, Mesh, MeshError, require_valid, vertex_bits
+from .mesh import (MAX_VERTICES, Mesh, MeshError, index_array, require_valid, vertex_bits,
+                   vertex_rows)
 from .primitives import bitwise_sort_order, inclusive_scan, scatter
 
 
@@ -48,10 +49,12 @@ def mark_used(mesh: Mesh) -> np.ndarray:
 def overwrite_unused(vertices: np.ndarray, is_used: np.ndarray,
                      replacement: np.ndarray) -> np.ndarray:
     """Copy of ``vertices`` with every unused slot replaced by ``replacement``."""
-    vertices = np.asarray(vertices, dtype=np.float32)
+    vertices = vertex_rows(vertices, "vertices")
+    replacement = vertex_rows(replacement, "replacement", ndim=1)
     is_used = np.asarray(is_used, dtype=bool)
-    if len(vertices) != len(is_used):
-        raise MeshError(f"length mismatch: {len(vertices)} vertices, {len(is_used)} flags")
+    if len(vertices) != len(is_used) or replacement.shape != vertices.shape[1:]:
+        raise MeshError(f"shape mismatch: vertices {vertices.shape}, flags {is_used.shape}, "
+                        f"replacement {replacement.shape}")
     out = vertices.copy()
     out[~is_used] = replacement
     return out
@@ -59,18 +62,19 @@ def overwrite_unused(vertices: np.ndarray, is_used: np.ndarray,
 
 def compute_sort_permutation(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable bitwise sort; returns (sorted vertices, origin of each sorted slot)."""
-    vertices = np.asarray(vertices, dtype=np.float32)
+    vertices = vertex_rows(vertices, "vertices")
     org_id = bitwise_sort_order(vertices)
     return np.take(vertices, org_id, axis=0), org_id
 
 
 def flag_first_occurrences(sorted_vtx: np.ndarray) -> np.ndarray:
     """True where a sorted vertex differs bitwise from its predecessor."""
-    nodup = np.ones(len(sorted_vtx), dtype=bool)
-    if len(sorted_vtx) > 1:
+    bits = vertex_bits(sorted_vtx)
+    nodup = np.ones(len(bits), dtype=bool)
+    if len(bits) > 1:
         later = nodup[1:]
         later[:] = False
-        for column in vertex_bits(sorted_vtx).T:
+        for column in bits.T:
             later |= column[1:] != column[:-1]
     return nodup
 
@@ -89,20 +93,15 @@ def compute_new_indices(nodup: np.ndarray) -> tuple[np.ndarray, int]:
 def compact_vertices(sorted_vtx: np.ndarray, nodup: np.ndarray,
                      new_idx: np.ndarray, new_count: int) -> np.ndarray:
     """Scatter first occurrences to their compacted positions."""
-    return scatter(np.asarray(sorted_vtx, dtype=np.float32), new_idx, nodup, new_count)
+    return scatter(vertex_rows(sorted_vtx, "sorted vertices"), new_idx, nodup, new_count)
 
 
 def invert_permutation(org_id: np.ndarray) -> np.ndarray:
     """perm with perm[org_id[i]] == i; rejects non-permutations via a coverage check."""
-    org_id = np.asarray(org_id)
+    org_id = index_array(org_id, np.size(org_id), "permutation entry", ndim=1)
     n = len(org_id)
     if n >= MAX_VERTICES:
         raise MeshError(f"permutation of {n} entries exceeds 32-bit index range")
-    # negative entries would wrap around in the scatter below and pass both checks
-    if n and org_id.dtype.kind != "u" and int(org_id.min()) < 0:
-        raise MeshError(f"entry {int(org_id.min())} out of range for permutation of {n}")
-    if n and int(org_id.max()) >= n:
-        raise MeshError(f"entry {int(org_id.max())} out of range for permutation of {n}")
     # n marks a slot no entry reached; it fits in uint32 because n < 2**32
     perm = np.full(n, n, dtype=np.uint32)
     perm[org_id] = np.arange(n, dtype=np.uint32)
@@ -114,11 +113,11 @@ def invert_permutation(org_id: np.ndarray) -> np.ndarray:
 def remap_elements(elements: np.ndarray, perm: np.ndarray,
                    new_idx: np.ndarray) -> np.ndarray:
     """Rewrite every index i as new_idx[perm[i]] (sort position, then compacted position)."""
-    elements = np.asarray(elements, dtype=np.uint32)
+    new_idx = index_array(new_idx, MAX_VERTICES, "new index", ndim=1)
+    perm = index_array(perm, len(new_idx), "perm entry", ndim=1)
     if len(perm) != len(new_idx):
         raise MeshError(f"perm/new_idx length mismatch: {len(perm)} vs {len(new_idx)}")
-    if elements.size and int(elements.max()) >= len(perm):
-        raise MeshError(f"element index {int(elements.max())} >= vertex count {len(perm)}")
+    elements = index_array(elements, len(perm), "element index")
     return new_idx[perm[elements]]
 
 
@@ -129,7 +128,6 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
     and arity, and an identical soup.  A mesh with zero elements collapses to
     the empty mesh (every vertex is unused).
     """
-    require_valid(mesh)
     is_used = mark_used(mesh)
     if mesh.n_elements == 0:
         empty_u32 = np.empty(0, np.uint32)

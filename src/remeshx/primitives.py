@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MAX_VERTICES, MeshError, vertex_bits
+from .mesh import MAX_VERTICES, MeshError, index_array, vertex_bits, vertex_rows
 
 
 def fill_sequence(n: int) -> np.ndarray:
     """The identity index array [0, 1, ..., n-1] as uint32."""
-    if n < 0:
-        raise ValueError(f"negative length {n}")
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise MeshError(f"sequence length must be a non-negative integer, got {n!r}")
     return np.arange(n, dtype=np.uint32)
 
 
@@ -27,9 +27,7 @@ def bitwise_sort_order(keys: np.ndarray) -> np.ndarray:
     bits[hi + 1]``; an odd leading component sorts alone as uint32.  The order
     equals a stable lexicographic sort of the uint32 component rows.
     """
-    bits = vertex_bits(np.atleast_2d(keys))
-    if bits.shape[1] == 0:
-        raise MeshError("cannot sort rows with no components")
+    bits = vertex_bits(keys)
     order = None
     for hi in range(bits.shape[1] - 2, -2, -2):
         if hi < 0:
@@ -48,7 +46,7 @@ def key_value_sort(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np
 
     Stable: equal keys keep ascending original positions.
     """
-    keys = np.asarray(keys)
+    keys = vertex_rows(keys, "keys")
     values = np.asarray(values)
     if len(keys) != len(values):
         raise MeshError(f"key/value length mismatch: {len(keys)} vs {len(values)}")
@@ -60,15 +58,17 @@ def inclusive_scan(flags: np.ndarray) -> np.ndarray:
     """out[i] = flags[0] + ... + flags[i], as uint32.
 
     A bool input shorter than ``MAX_VERTICES`` is scanned straight into
-    uint32, since its total cannot exceed its length; any other input is
-    accumulated in int64 and its total checked against the 32-bit range.
+    uint32, since its total cannot exceed its length; any other integer input
+    is accumulated in int64 and every prefix checked against the 32-bit range.
     """
     flags = np.asarray(flags)
+    if flags.size and flags.dtype.kind not in "bui":
+        raise MeshError(f"scan flags must be bool or integers, got dtype {flags.dtype}")
     if flags.dtype == bool and flags.size < MAX_VERTICES:
         return np.cumsum(flags, dtype=np.uint32)
     acc = np.cumsum(flags, dtype=np.int64)
-    if acc.size and not (0 <= int(acc[-1]) < MAX_VERTICES):
-        raise OverflowError(f"scan total {int(acc[-1])} outside 32-bit range")
+    if acc.size and not (0 <= int(acc.min()) and int(acc.max()) < MAX_VERTICES):
+        raise MeshError(f"scan prefixes {int(acc.min())}..{int(acc.max())} outside 32-bit range")
     return acc.astype(np.uint32)
 
 
@@ -85,9 +85,7 @@ def scatter(values: np.ndarray, positions: np.ndarray, mask: np.ndarray,
     if not (len(values) == len(positions) == len(mask)):
         raise MeshError(
             f"scatter length mismatch: {len(values)}/{len(positions)}/{len(mask)}")
-    pos = positions[mask]
-    if pos.size and int(pos.max()) >= out_len:
-        raise MeshError(f"scatter position {int(pos.max())} >= output length {out_len}")
+    pos = index_array(positions[mask], out_len, "scatter position", ndim=1)
     out = np.empty((out_len,) + values.shape[1:], dtype=values.dtype)
     out[pos] = np.compress(mask, values, axis=0)
     return out

@@ -1,0 +1,97 @@
+"""Malformed input to a public function raises MeshError (FormatError for the writers).
+
+Each case once ended in a stray ValueError, IndexError or OverflowError, or
+returned wrong data without any error.  ``call`` receives the path of a file
+that must not exist afterwards, so a refused write leaves nothing behind.
+"""
+import numpy as np
+import pytest
+
+from remeshx import (FormatError, Mesh, MeshError, compute_sort_permutation, fill_sequence,
+                     flag_first_occurrences, inclusive_scan, invert_permutation,
+                     key_value_sort, overwrite_unused, remap_elements, scatter, soups_equal,
+                     subset, write_obj)
+from remeshx.primitives import bitwise_sort_order
+from conftest import WORKED_ELEMENTS, WORKED_VERTICES, vtx
+
+ROW = np.array([3, 1, 2], np.float32)
+TWO_ROWS = vtx((1, 1), (2, 2))
+WORKED = Mesh(np.array(WORKED_VERTICES, np.float32), np.array(WORKED_ELEMENTS, np.uint32))
+
+
+def tri_with(component: int) -> Mesh:
+    """A triangle whose first coordinate has the float32 bit pattern ``component``."""
+    vertices = np.zeros((3, 2), np.uint32)
+    vertices[0, 0] = component
+    return Mesh(vertices.view(np.float32), [[0, 1, 2]])
+
+
+CASES = [
+    # index arrays
+    pytest.param(lambda p: invert_permutation(np.array([[0, 1], [1, 0]])), MeshError, "axes",
+                 id="invert_permutation-2d"),
+    pytest.param(lambda p: invert_permutation(np.array([0.0, 1.0])), MeshError, "integers",
+                 id="invert_permutation-float"),
+    pytest.param(lambda p: scatter(TWO_ROWS, np.array([-1, 0]), [True, True], 2),
+                 MeshError, "-1", id="scatter-negative-position"),
+    pytest.param(lambda p: scatter(TWO_ROWS, np.array([1.0, 0.0]), [True, True], 2),
+                 MeshError, "integers", id="scatter-float-positions"),
+    pytest.param(lambda p: remap_elements(np.array([[-1]]), np.array([1, 0], np.uint32),
+                                          np.array([0, 1], np.uint32)),
+                 MeshError, "-1", id="remap_elements-negative-index"),
+    pytest.param(lambda p: remap_elements(np.array([[1]]), np.array([0, 5], np.uint32),
+                                          np.array([0, 1], np.uint32)),
+                 MeshError, "5", id="remap_elements-perm-beyond-new_idx"),
+    pytest.param(lambda p: remap_elements(np.array([[0]]), np.array([0], np.uint32),
+                                          np.array([0.5])),
+                 MeshError, "integers", id="remap_elements-float-new_idx"),
+    pytest.param(lambda p: subset(WORKED, np.ones((4, 1), bool)), MeshError, "shape",
+                 id="subset-2d-mask"),
+    # vertex arrays
+    pytest.param(lambda p: key_value_sort(ROW, np.arange(3)), MeshError, "axes",
+                 id="key_value_sort-1d-keys"),
+    pytest.param(lambda p: bitwise_sort_order(ROW), MeshError, "axes",
+                 id="bitwise_sort_order-1d"),
+    pytest.param(lambda p: compute_sort_permutation(ROW), MeshError, "axes",
+                 id="compute_sort_permutation-1d"),
+    pytest.param(lambda p: flag_first_occurrences(ROW), MeshError, "axes",
+                 id="flag_first_occurrences-1d"),
+    pytest.param(lambda p: Mesh([["a", "b"]], [[0, 0, 0]]), MeshError, "numeric",
+                 id="Mesh-string-vertices"),
+    pytest.param(lambda p: overwrite_unused(TWO_ROWS, [True, False], np.zeros(3, np.float32)),
+                 MeshError, "replacement", id="overwrite_unused-replacement-shape"),
+    pytest.param(lambda p: soups_equal(TWO_ROWS, TWO_ROWS), MeshError, "axes",
+                 id="soups_equal-not-a-soup"),
+    # scans and sequences
+    pytest.param(lambda p: inclusive_scan(np.array([2**32], np.int64)), MeshError, "32-bit",
+                 id="inclusive_scan-total-too-large"),
+    pytest.param(lambda p: inclusive_scan([-1]), MeshError, "32-bit",
+                 id="inclusive_scan-negative-total"),
+    pytest.param(lambda p: inclusive_scan([-1, 1]), MeshError, "32-bit",
+                 id="inclusive_scan-negative-prefix"),
+    pytest.param(lambda p: inclusive_scan([0.5, 0.7]), MeshError, "bool or integers",
+                 id="inclusive_scan-float-flags"),
+    pytest.param(lambda p: fill_sequence(-1), MeshError, "non-negative",
+                 id="fill_sequence-negative"),
+    pytest.param(lambda p: fill_sequence(2.5), MeshError, "integer", id="fill_sequence-fraction"),
+    pytest.param(lambda p: Mesh.empty(dim=-1), MeshError, "dim", id="Mesh.empty-negative-dim"),
+    pytest.param(lambda p: Mesh.empty(arity=-1), MeshError, "arity",
+                 id="Mesh.empty-negative-arity"),
+    # OBJ writes that could not be read back bit-exactly
+    pytest.param(lambda p: write_obj(tri_with(0xFFC00000), p), FormatError, "NaN",
+                 id="write_obj-negative-nan"),
+    pytest.param(lambda p: write_obj(tri_with(0x7FC00123), p), FormatError, "NaN",
+                 id="write_obj-payload-nan"),
+    pytest.param(lambda p: write_obj(Mesh.empty(dim=3), p), FormatError, "dim=3",
+                 id="write_obj-no-vertices-dim-3"),
+    pytest.param(lambda p: write_obj(Mesh(TWO_ROWS, np.empty((0, 4), np.uint32)), p),
+                 FormatError, "arity=4", id="write_obj-no-faces-arity-4"),
+]
+
+
+@pytest.mark.parametrize("call,error,match", CASES)
+def test_malformed_input_fails_closed(tmp_path, call, error, match):
+    path = tmp_path / "out.obj"
+    with pytest.raises(error, match=match):
+        call(path)
+    assert not path.exists()

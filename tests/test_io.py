@@ -1,10 +1,14 @@
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remeshx import (FormatError, Mesh, bitwise_equal, equivalent, grid_quads, read_bin,
-                     read_obj, write_bin, write_obj)
+                     read_obj, vertex_bits, write_bin, write_obj)
 from remeshx.fileio import _RMX_HEADER, _RMX_MAGIC
 from conftest import A, B, C, elems, feed_fifo, vtx
 
@@ -183,3 +187,42 @@ def test_obj_write_round_trips_or_refuses(tmp_path, dim, arity):
         with pytest.raises(FormatError):
             write_obj(mesh, path)
         assert not path.exists()
+
+
+# +-0.0, the NaN that OBJ's "nan" reads back as, NaNs with sign or payload bits,
+# infinities, the smallest subnormal and the largest finite float32
+_AWKWARD_BITS = [0x00000000, 0x80000000, 0x7FC00000, 0xFFC00000, 0x7FC00123, 0x7F800001,
+                 0x7F800000, 0xFF800000, 0x00000001, 0x7F7FFFFF]
+
+
+@st.composite
+def meshes_of_any_shape(draw):
+    dim, arity = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    n_vertices = draw(st.integers(0, 6))
+    n_elements = draw(st.integers(0, 4)) if n_vertices else 0
+    bits = draw(st.lists(st.one_of(st.sampled_from(_AWKWARD_BITS), st.integers(0, 2**32 - 1)),
+                         min_size=n_vertices * dim, max_size=n_vertices * dim))
+    indices = draw(st.lists(st.integers(0, max(n_vertices - 1, 0)),
+                            min_size=n_elements * arity, max_size=n_elements * arity))
+    vertices = np.array(bits, np.uint32).reshape(n_vertices, dim).view(np.float32)
+    return Mesh(vertices, np.array(indices, np.uint32).reshape(n_elements, arity))
+
+
+@settings(max_examples=200, deadline=None)
+@given(meshes_of_any_shape())
+def test_writers_round_trip_bit_exactly_or_refuse(mesh):
+    lossy_nan = np.isnan(mesh.vertices) & (vertex_bits(mesh.vertices) != 0x7FC00000)
+    obj_refuses = (mesh.dim not in (2, 3) or mesh.arity not in (3, 4)
+                   or (mesh.n_vertices == 0 and mesh.dim != 2)
+                   or (mesh.n_elements == 0 and mesh.arity != 3) or bool(lossy_nan.any()))
+    with tempfile.TemporaryDirectory() as tmp:
+        rmx, obj = Path(tmp) / "m.rmx", Path(tmp) / "m.obj"
+        write_bin(mesh, rmx)
+        assert bitwise_equal(read_bin(rmx), mesh)
+        if obj_refuses:
+            with pytest.raises(FormatError):
+                write_obj(mesh, obj)
+            assert not obj.exists()
+        else:
+            write_obj(mesh, obj)
+            assert bitwise_equal(read_obj(obj), mesh)
