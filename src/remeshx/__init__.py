@@ -6,7 +6,7 @@ sort, inclusive scan, scatter), with a serial map-based baseline, mesh
 composition ops, a benchmark harness, and OBJ/binary I/O.
 """
 from .mesh import (InvalidMeshError, Issue, Mesh, MeshError, bitwise_equal,
-                   dereference, soups_equal, validate, vertex_bits)
+                   dereference, soups_equal, vertex_bits)
 from .primitives import fill_sequence, inclusive_scan, key_value_sort, scatter
 from .pipeline import (ReindexScratch, compact_vertices, compute_new_indices,
                        compute_sort_permutation, flag_first_occurrences,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Mesh", "Issue", "MeshError", "InvalidMeshError", "FormatError",
     "ReindexScratch", "BenchRecord", "RandomMeshSpec",
-    "validate", "dereference", "soups_equal", "bitwise_equal", "vertex_bits",
+    "dereference", "soups_equal", "bitwise_equal", "vertex_bits",
     "fill_sequence", "key_value_sort", "inclusive_scan", "scatter",
     "mark_used", "overwrite_unused", "compute_sort_permutation",
     "flag_first_occurrences", "compute_new_indices", "compact_vertices",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .mesh import Mesh, MeshError
+from .mesh import MAX_VERTICES, Mesh, MeshError
 from .pipeline import reindex
 from .serial import reindex_serial
 
@@ -40,8 +40,8 @@ class BenchRecord:
 
 def grid_quads(n: int) -> Mesh:
     """n x n grid of quads, 5 vertices stored per quad (4 corners + unused center)."""
-    if n < 1:
-        raise MeshError(f"grid size must be >= 1, got {n}")
+    if n < 1 or 5 * n * n >= MAX_VERTICES:
+        raise MeshError(f"grid size must be >= 1 and give under 2**32 vertices (5 n^2), got {n}")
     quads = n * n
     q = np.arange(quads, dtype=np.int64)
     qi = (q % n).astype(np.float32)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import fileio
-from .mesh import Mesh, MeshError, validate
+from .mesh import InvalidMeshError, Mesh, MeshError
 from .ops import merge, soup_to_mesh, subset
 from .pipeline import compute_sort_permutation, flag_first_occurrences, mark_used, reindex
 
@@ -67,15 +67,16 @@ def _parse_ranges(text: str) -> list[tuple[int, int]]:
     return merged
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count: an integer >= 1 (argparse reports a ValueError as usage)."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parse_sizes(text: str) -> list[int]:
     """argparse type for ``--sizes``: "8,64,1024" -> grid sizes, each >= 1."""
-    try:
-        sizes = [int(s) for s in text.split(",") if s.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad size list {text!r}") from None
-    if not sizes or min(sizes) < 1:
-        raise argparse.ArgumentTypeError(f"sizes must be integers >= 1, got {text!r}")
-    return sizes
+    return [_positive_int(s) for s in text.split(",")]
 
 
 def _say(args, message: str) -> None:
@@ -144,12 +145,16 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    issues = validate(_load(args.input, args))
-    for issue in issues:
-        print(f"element {issue.element} slot {issue.slot}: "
-              f"index {issue.index} out of range", file=sys.stderr)
-    _say(args, f"{args.input}: {'OK' if not issues else f'{len(issues)} issue(s)'}")
-    return 0 if not issues else 1
+    try:
+        _load(args.input, args)
+    except InvalidMeshError as exc:
+        for issue in exc.issues:
+            print(f"element {issue.element} slot {issue.slot}: "
+                  f"index {issue.index} out of range", file=sys.stderr)
+        _say(args, f"{args.input}: {len(exc.issues)} issue(s)")
+        return 1
+    _say(args, f"{args.input}: OK")
+    return 0
 
 
 def _cmd_stats(args) -> int:
@@ -198,13 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_subset)
 
     p = sub.add_parser("gen", help="generate the N x N benchmark quad grid")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("output")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("bench", help="time serial vs parallel re-indexing")
     p.add_argument("--sizes", type=_parse_sizes, required=True, metavar="N,N,...")
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--reps", type=_positive_int, default=5)
     p.add_argument("--csv", metavar="PATH", help="also write a CSV report")
     p.set_defaults(func=_cmd_bench)
 

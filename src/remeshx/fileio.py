@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .mesh import MAX_VERTICES, Mesh, MeshError, require_valid, vertex_bits
+from .mesh import MAX_VERTICES, Mesh, MeshError, vertex_bits
 
 _RMX_MAGIC = b"RMX1"
 _RMX_HEADER = struct.Struct("<4sIIQQ")
@@ -119,13 +119,12 @@ def _shortest(value: np.float32) -> str:
 def write_obj(mesh: Mesh, path) -> None:
     """Write v then f lines (1-based indices), shortest round-trippable decimals.
 
-    Refuses, before opening ``path``, any mesh :func:`read_obj` could not read
-    back bit-exactly: dim other than 2 or 3, arity other than 3 or 4, dim 3
+    Refuses, before opening ``path``, the meshes :func:`read_obj` would read
+    back differently: dim other than 2 or 3, arity other than 3 or 4, dim 3
     with no vertices or arity 4 with no elements (the file then reads back as
     dim 2 or arity 3), and a NaN other than 0x7fc00000 (every NaN is written
     as ``nan``, which loses its sign and payload).
     """
-    require_valid(mesh)
     if mesh.dim not in (2, 3) or mesh.arity not in (3, 4):
         raise FormatError(f"OBJ holds dim 2 or 3 and arity 3 or 4, "
                           f"got dim={mesh.dim} arity={mesh.arity}")
@@ -146,7 +145,6 @@ def write_obj(mesh: Mesh, path) -> None:
 
 def write_bin(mesh: Mesh, path) -> None:
     """Write the RMX1 binary container."""
-    require_valid(mesh)
     with open(path, "wb") as handle:
         handle.write(_RMX_HEADER.pack(_RMX_MAGIC, mesh.dim, mesh.arity,
                                       mesh.n_vertices, mesh.n_elements))

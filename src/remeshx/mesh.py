@@ -1,7 +1,9 @@
-"""Indexed-mesh data model: vertices, fixed-arity elements, validation.
+"""Indexed-mesh data model: vertices, fixed-arity elements, input gates.
 
 A mesh is a vertex array of shape ``(n, dim)`` (float32) plus an element
-array of shape ``(m, arity)`` (uint32) indexing into it.  Vertices are
+array of shape ``(m, arity)`` (uint32) indexing into it.  A :class:`Mesh` is
+valid once built: construction rejects any element index ``>= n`` with an
+:class:`InvalidMeshError` listing every bad slot.  Vertices are
 compared on their raw bit patterns, lexicographically by component: this is
 a strict total order (unlike numeric float comparison under NaN), it keeps
 ``-0.0`` and ``+0.0`` distinct, and it treats identical NaN payloads as
@@ -50,8 +52,18 @@ def vertex_rows(values, what: str, ndim: int = 2) -> np.ndarray:
     return rows
 
 
+def flag_array(values, length: int, what: str) -> np.ndarray:
+    """Gate for flag arguments: bool of shape ``(length,)``; empty input passes as bool."""
+    flags = np.asarray(values)
+    if not flags.size:
+        flags = flags.astype(bool)
+    if flags.dtype != bool or flags.shape != (length,):
+        raise MeshError(f"{what}: need bool of shape ({length},), got {flags.dtype} {flags.shape}")
+    return flags
+
+
 class InvalidMeshError(MeshError):
-    """A mesh failed validation (some element index is out of range)."""
+    """Some element index is not below the mesh's vertex count."""
 
     def __init__(self, issues):
         self.issues = list(issues)
@@ -64,7 +76,7 @@ class InvalidMeshError(MeshError):
 
 @dataclass(frozen=True)
 class Issue:
-    """One out-of-range index found by :func:`validate`."""
+    """One element index that names no vertex, carried by :class:`InvalidMeshError`."""
 
     element: int
     slot: int
@@ -73,7 +85,7 @@ class Issue:
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Immutable indexed mesh: both arrays are copied and frozen on construction."""
+    """Immutable indexed mesh, valid once built: arrays copied and frozen, indices < n_vertices."""
 
     vertices: np.ndarray
     elements: np.ndarray
@@ -86,6 +98,9 @@ class Mesh:
             raise MeshError(f"elements must be (m, arity) with arity >= 1, got {elements.shape}")
         if len(vertices) >= MAX_VERTICES:
             raise MeshError(f"vertex count {len(vertices)} exceeds 32-bit index range")
+        if elements.size and int(elements.max()) >= len(vertices):
+            raise InvalidMeshError(Issue(int(e), int(s), int(elements[e, s]))
+                                   for e, s in np.argwhere(elements >= len(vertices)))
         vertices.flags.writeable = False
         elements.flags.writeable = False
         object.__setattr__(self, "vertices", vertices)
@@ -123,20 +138,8 @@ def vertex_bits(vertices: np.ndarray) -> np.ndarray:
     return vertex_rows(vertices, "vertices").view(np.uint32)
 
 
-def validate(mesh: Mesh) -> list[Issue]:
-    """Return one :class:`Issue` per out-of-range element index (empty = well-formed)."""
-    bad = np.argwhere(mesh.elements >= mesh.n_vertices)
-    return [Issue(int(e), int(s), int(mesh.elements[e, s])) for e, s in bad]
-
-
-def require_valid(mesh: Mesh) -> None:
-    if mesh.n_elements and int(mesh.elements.max()) >= mesh.n_vertices:
-        raise InvalidMeshError(validate(mesh))
-
-
 def dereference(mesh: Mesh) -> np.ndarray:
     """Expand a mesh into its soup: ``out[e, k] = vertices[elements[e, k]]``."""
-    require_valid(mesh)
     return np.take(mesh.vertices, mesh.elements, axis=0)
 
 

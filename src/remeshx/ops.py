@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MAX_VERTICES, Mesh, MeshError, index_array, require_valid, vertex_rows
+from .mesh import MAX_VERTICES, Mesh, MeshError, flag_array, index_array, vertex_rows
 from .pipeline import reindex
 
 
@@ -20,7 +20,6 @@ def merge(meshes: list[Mesh]) -> Mesh:
         if m.dim != dim or m.arity != arity:
             raise MeshError(
                 f"mesh {k} has dim={m.dim} arity={m.arity}, expected dim={dim} arity={arity}")
-        require_valid(m)
     total = sum(m.n_vertices for m in meshes)
     if total >= MAX_VERTICES:
         raise MeshError(f"merged vertex count {total} exceeds 32-bit index range")
@@ -59,7 +58,6 @@ def subset(mesh: Mesh, keep) -> Mesh:
     ascending list of element positions.  The full vertex array is copied,
     unselected elements dropped, and re-indexing removes what is now unused.
     """
-    require_valid(mesh)
     mask = _normalize_selector(keep, mesh.n_elements)
     return reindex(Mesh(mesh.vertices, mesh.elements[mask]))[0]
 
@@ -67,9 +65,7 @@ def subset(mesh: Mesh, keep) -> Mesh:
 def _normalize_selector(keep, n_elements: int) -> np.ndarray:
     sel = np.asarray(keep)
     if sel.dtype == bool:
-        if sel.shape != (n_elements,):
-            raise MeshError(f"mask of shape {sel.shape} for {n_elements} elements")
-        return sel
+        return flag_array(sel, n_elements, "element mask")
     sel = index_array(sel, n_elements, "selector position").reshape(-1)
     if sel.size > 1 and not np.all(sel[1:] > sel[:-1]):
         raise MeshError("selector positions must be strictly ascending and unique")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (MAX_VERTICES, Mesh, MeshError, index_array, require_valid, vertex_bits,
+from .mesh import (MAX_VERTICES, Mesh, MeshError, flag_array, index_array, vertex_bits,
                    vertex_rows)
 from .primitives import bitwise_sort_order, inclusive_scan, scatter
 
@@ -40,7 +40,6 @@ class ReindexScratch:
 
 def mark_used(mesh: Mesh) -> np.ndarray:
     """Boolean flag per vertex: referenced by at least one element."""
-    require_valid(mesh)
     used = np.zeros(mesh.n_vertices, dtype=bool)
     used[mesh.elements.reshape(-1)] = True
     return used
@@ -51,10 +50,9 @@ def overwrite_unused(vertices: np.ndarray, is_used: np.ndarray,
     """Copy of ``vertices`` with every unused slot replaced by ``replacement``."""
     vertices = vertex_rows(vertices, "vertices")
     replacement = vertex_rows(replacement, "replacement", ndim=1)
-    is_used = np.asarray(is_used, dtype=bool)
-    if len(vertices) != len(is_used) or replacement.shape != vertices.shape[1:]:
-        raise MeshError(f"shape mismatch: vertices {vertices.shape}, flags {is_used.shape}, "
-                        f"replacement {replacement.shape}")
+    is_used = flag_array(is_used, len(vertices), "used flags")
+    if replacement.shape != vertices.shape[1:]:
+        raise MeshError(f"replacement of shape {replacement.shape} for vertices {vertices.shape}")
     out = vertices.copy()
     out[~is_used] = replacement
     return out
@@ -81,7 +79,7 @@ def flag_first_occurrences(sorted_vtx: np.ndarray) -> np.ndarray:
 
 def compute_new_indices(nodup: np.ndarray) -> tuple[np.ndarray, int]:
     """Scan the first-occurrence flags and subtract one: compacted destination per slot."""
-    nodup = np.asarray(nodup)
+    nodup = flag_array(nodup, np.size(nodup), "first-occurrence flags")
     if nodup.size == 0:
         return np.empty(0, np.uint32), 0
     if not nodup[0]:

@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MAX_VERTICES, MeshError, index_array, vertex_bits, vertex_rows
+from .mesh import MAX_VERTICES, MeshError, flag_array, index_array, vertex_bits, vertex_rows
+
+
+def _length(n, what: str) -> int:
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise MeshError(f"{what} must be a non-negative integer, got {n!r}")
+    return int(n)
 
 
 def fill_sequence(n: int) -> np.ndarray:
     """The identity index array [0, 1, ..., n-1] as uint32."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise MeshError(f"sequence length must be a non-negative integer, got {n!r}")
-    return np.arange(n, dtype=np.uint32)
+    return np.arange(_length(n, "sequence length"), dtype=np.uint32)
 
 
 def bitwise_sort_order(keys: np.ndarray) -> np.ndarray:
@@ -48,8 +52,8 @@ def key_value_sort(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np
     """
     keys = vertex_rows(keys, "keys")
     values = np.asarray(values)
-    if len(keys) != len(values):
-        raise MeshError(f"key/value length mismatch: {len(keys)} vs {len(values)}")
+    if values.ndim < 1 or len(keys) != len(values):
+        raise MeshError(f"values of shape {values.shape} for {len(keys)} keys")
     order = bitwise_sort_order(keys)
     return np.take(keys, order, axis=0), np.take(values, order, axis=0)
 
@@ -81,10 +85,10 @@ def scatter(values: np.ndarray, positions: np.ndarray, mask: np.ndarray,
     """
     values = np.asarray(values)
     positions = np.asarray(positions)
-    mask = np.asarray(mask, dtype=bool)
-    if not (len(values) == len(positions) == len(mask)):
-        raise MeshError(
-            f"scatter length mismatch: {len(values)}/{len(positions)}/{len(mask)}")
+    out_len = _length(out_len, "scatter output length")
+    mask = flag_array(mask, len(values), "scatter mask")
+    if len(positions) != len(mask):
+        raise MeshError(f"scatter length mismatch: {len(positions)} positions, {len(mask)} flags")
     pos = index_array(positions[mask], out_len, "scatter position", ndim=1)
     out = np.empty((out_len,) + values.shape[1:], dtype=values.dtype)
     out[pos] = np.compress(mask, values, axis=0)

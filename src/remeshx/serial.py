@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import Mesh, dereference, require_valid, soups_equal, vertex_bits
+from .mesh import Mesh, dereference, soups_equal, vertex_bits
 from .primitives import bitwise_sort_order
 
 
 def reindex_serial(mesh: Mesh) -> Mesh:
     """Duplicate- and unused-free mesh with vertices in first-use order."""
-    require_valid(mesh)
     stride = mesh.dim * 4
     raw = mesh.vertices.tobytes()
     seen: dict[bytes, int] = {}
@@ -43,8 +42,6 @@ def reindex_serial(mesh: Mesh) -> Mesh:
 
 def equivalent(a: Mesh, b: Mesh) -> bool:
     """Same soup (bitwise, elementwise) and same vertex multiset."""
-    require_valid(a)
-    require_valid(b)
     if not soups_equal(dereference(a), dereference(b)):
         return False
     if a.vertices.shape != b.vertices.shape:

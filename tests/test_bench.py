@@ -26,6 +26,12 @@ def test_grid_rejects_zero():
         grid_quads(0)
 
 
+def test_grid_refuses_vertex_count_beyond_index_range():
+    # 5 * 29309**2 >= 2**32: refused before any array is allocated
+    with pytest.raises(MeshError, match=r"2\*\*32"):
+        grid_quads(29309)
+
+
 def test_grid_structure():
     mesh = grid_quads(2)
     # per-quad layout: 4 corners then the unused center at a half-integer point

@@ -43,6 +43,18 @@ def test_validate_ok_and_failing(tmp_path, capsys):
     assert "out of range" in stderr
 
 
+def test_validate_lists_every_bad_slot(tmp_path, capsys):
+    bad = tmp_path / "bad.rmx"
+    payload = np.array([0, 0], "<f4").tobytes() + np.array([0, 5, 7, 9, 0, 0], "<u4").tobytes()
+    bad.write_bytes(_RMX_HEADER.pack(_RMX_MAGIC, 2, 3, 1, 2) + payload)
+    code, stdout, stderr = run(capsys, "validate", bad)
+    assert code == 1
+    assert stderr.splitlines() == ["element 0 slot 1: index 5 out of range",
+                                   "element 0 slot 2: index 7 out of range",
+                                   "element 1 slot 0: index 9 out of range"]
+    assert stdout == f"{bad}: 3 issue(s)\n"
+
+
 def test_missing_file_is_runtime_error(tmp_path, capsys):
     code, _, stderr = run(capsys, "reindex", tmp_path / "missing.obj",
                           tmp_path / "out.obj")
@@ -124,6 +136,24 @@ def test_subset_bad_keep_is_usage_error(tmp_path, capsys, keep):
     code, _, stderr = run(capsys, "subset", src, out, "--keep", keep)
     assert code == 2 and "--keep" in stderr
     assert not out.exists()
+
+
+def test_gen_zero_n_is_usage_error(tmp_path, capsys):
+    code, _, stderr = run(capsys, "gen", "--n", 0, tmp_path / "g.rmx")
+    assert code == 2 and "--n" in stderr
+    assert not (tmp_path / "g.rmx").exists()
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_bench_bad_reps_is_usage_error(capsys, reps):
+    code, _, stderr = run(capsys, "bench", "--sizes", "4", "--reps", reps)
+    assert code == 2 and "--reps" in stderr
+
+
+def test_gen_refuses_grid_beyond_index_range(tmp_path, capsys):
+    code, _, stderr = run(capsys, "gen", "--n", 29309, tmp_path / "g.rmx")
+    assert code == 1 and "2**32" in stderr
+    assert not (tmp_path / "g.rmx").exists()
 
 
 @pytest.mark.parametrize("sizes", ["x", "4,y", "0"])

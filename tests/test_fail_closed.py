@@ -1,21 +1,23 @@
 """Malformed input to a public function raises MeshError (FormatError for the writers).
 
-Each case once ended in a stray ValueError, IndexError or OverflowError, or
-returned wrong data without any error.  ``call`` receives the path of a file
-that must not exist afterwards, so a refused write leaves nothing behind.
+Each case once ended in a stray ValueError, IndexError, TypeError or
+OverflowError, or returned wrong data without any error.  ``call`` receives the
+path of a file that must not exist afterwards, so a refused write leaves
+nothing behind.
 """
 import numpy as np
 import pytest
 
-from remeshx import (FormatError, Mesh, MeshError, compute_sort_permutation, fill_sequence,
-                     flag_first_occurrences, inclusive_scan, invert_permutation,
-                     key_value_sort, overwrite_unused, remap_elements, scatter, soups_equal,
-                     subset, write_obj)
+from remeshx import (FormatError, Mesh, MeshError, compute_new_indices,
+                     compute_sort_permutation, fill_sequence, flag_first_occurrences,
+                     inclusive_scan, invert_permutation, key_value_sort, overwrite_unused,
+                     remap_elements, scatter, soups_equal, subset, write_obj)
 from remeshx.primitives import bitwise_sort_order
 from conftest import WORKED_ELEMENTS, WORKED_VERTICES, vtx
 
 ROW = np.array([3, 1, 2], np.float32)
 TWO_ROWS = vtx((1, 1), (2, 2))
+THREE_ROWS = vtx((1, 1), (2, 2), (3, 3))
 WORKED = Mesh(np.array(WORKED_VERTICES, np.float32), np.array(WORKED_ELEMENTS, np.uint32))
 
 
@@ -47,6 +49,20 @@ CASES = [
                  MeshError, "integers", id="remap_elements-float-new_idx"),
     pytest.param(lambda p: subset(WORKED, np.ones((4, 1), bool)), MeshError, "shape",
                  id="subset-2d-mask"),
+    # flag arrays
+    pytest.param(lambda p: compute_new_indices(np.ones((2, 2), bool)), MeshError, "shape",
+                 id="compute_new_indices-2d-flags"),
+    pytest.param(lambda p: overwrite_unused(THREE_ROWS, np.ones((3, 1), bool), THREE_ROWS[0]),
+                 MeshError, "shape", id="overwrite_unused-2d-flags"),
+    pytest.param(lambda p: scatter(THREE_ROWS, np.arange(3), np.ones((3, 1), bool), 1),
+                 MeshError, "shape", id="scatter-2d-mask"),
+    pytest.param(lambda p: overwrite_unused(THREE_ROWS, np.array([0.5, 1, 2]), THREE_ROWS[0]),
+                 MeshError, "bool", id="overwrite_unused-float-flags"),
+    # scalar arguments
+    pytest.param(lambda p: scatter(TWO_ROWS, np.arange(2), [False, False], -1),
+                 MeshError, "non-negative", id="scatter-negative-out_len"),
+    pytest.param(lambda p: key_value_sort(TWO_ROWS, np.int64(3)), MeshError, "shape",
+                 id="key_value_sort-0d-values"),
     # vertex arrays
     pytest.param(lambda p: key_value_sort(ROW, np.arange(3)), MeshError, "axes",
                  id="key_value_sort-1d-keys"),

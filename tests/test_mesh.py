@@ -1,29 +1,29 @@
 import numpy as np
 import pytest
 
-from remeshx import (InvalidMeshError, Issue, Mesh, MeshError, dereference,
-                     validate, vertex_bits)
+from remeshx import InvalidMeshError, Issue, Mesh, MeshError, dereference, vertex_bits
 from conftest import A, B, C, D, E, F, elems, vtx
 
 
 def test_validate_empty_mesh():
-    assert validate(Mesh.empty()) == []
+    assert Mesh.empty().n_elements == 0
 
 
 def test_validate_worked_mesh_clean(worked_mesh):
-    assert validate(worked_mesh) == []
+    rebuilt = Mesh(worked_mesh.vertices, worked_mesh.elements)
+    assert np.array_equal(rebuilt.elements, worked_mesh.elements)
 
 
 def test_validate_reports_out_of_range():
-    mesh = Mesh(vtx((0, 0), (1, 1)), elems((0, 1, 2)))
-    assert validate(mesh) == [Issue(element=0, slot=2, index=2)]
+    with pytest.raises(InvalidMeshError) as err:
+        Mesh(vtx((0, 0), (1, 1)), elems((0, 1, 2)))
+    assert err.value.issues == [Issue(element=0, slot=2, index=2)]
 
 
 def test_validate_reports_every_bad_slot():
-    mesh = Mesh(vtx((0, 0)), elems((0, 5, 7), (9, 0, 0)))
-    issues = validate(mesh)
-    assert len(issues) == 3
-    assert issues[0] == Issue(0, 1, 5)
+    with pytest.raises(InvalidMeshError) as err:
+        Mesh(vtx((0, 0)), elems((0, 5, 7), (9, 0, 0)))
+    assert err.value.issues == [Issue(0, 1, 5), Issue(0, 2, 7), Issue(1, 0, 9)]
 
 
 def test_dereference_worked_mesh(worked_mesh):
@@ -42,11 +42,13 @@ def test_dereference_repeated_index():
     assert dereference(mesh).tolist() == [[[2, 7]] * 3]
 
 
-def test_dereference_rejects_invalid():
-    mesh = Mesh(vtx((0, 0)), elems((0, 0, 1)))
+def test_mesh_rejects_index_past_vertex_count():
     with pytest.raises(InvalidMeshError) as err:
-        dereference(mesh)
+        Mesh(vtx((0, 0)), elems((0, 0, 1)))
     assert err.value.issues == [Issue(0, 2, 1)]
+    with pytest.raises(InvalidMeshError) as err:
+        Mesh(np.empty((0, 2), np.float32), np.array([[0, 0, 0]], np.int64))
+    assert err.value.issues == [Issue(0, 0, 0), Issue(0, 1, 0), Issue(0, 2, 0)]
 
 
 def test_mesh_arrays_are_frozen_copies():
