@@ -40,15 +40,19 @@ print("new_idx =", new_idx, " new_count =", new_count)
 new_vtx = rx.compact_vertices(sorted_vtx, nodup, new_idx, new_count)
 print("\nnew vertices =", new_vtx.tolist())
 
-# Step 4: invert the sort permutation and rewrite every element index.
-perm = rx.invert_permutation(org_id)
-print("perm    =", perm)
-new_elements = rx.remap_elements(mesh.elements, perm, new_idx)
+# Step 4: scatter each sorted slot's new index to its original position, then
+# rewrite every element index through that table.
+table = np.empty(mesh.n_vertices, np.uint32)
+table[org_id] = new_idx
+print("table   =", table)
+new_elements = table[mesh.elements]
 print("new elements =", new_elements.tolist())
 
 # The one-call version returns the same result plus all intermediates.
 out, scratch = rx.reindex(mesh)
 print("\nreindex(mesh):", out)
+print("hand-run steps bitwise_equal to reindex:",
+      rx.bitwise_equal(rx.Mesh(new_vtx, new_elements), out))
 print("output triangles (by value):")
 print(rx.dereference(out))
 print("soup preserved:", rx.soups_equal(rx.dereference(out), rx.dereference(mesh)))

@@ -11,7 +11,7 @@ from .primitives import fill_sequence, inclusive_scan, key_value_sort, scatter
 from .pipeline import (ReindexScratch, compact_vertices, compute_new_indices,
                        compute_sort_permutation, flag_first_occurrences,
                        invert_permutation, mark_used, overwrite_unused,
-                       reindex, remap_elements)
+                       reindex)
 from .ops import merge, soup_to_mesh, subset
 from .serial import equivalent, reindex_serial
 from .bench import BenchRecord, grid_quads, run_bench, write_csv
@@ -27,7 +27,7 @@ __all__ = [
     "fill_sequence", "key_value_sort", "inclusive_scan", "scatter",
     "mark_used", "overwrite_unused", "compute_sort_permutation",
     "flag_first_occurrences", "compute_new_indices", "compact_vertices",
-    "invert_permutation", "remap_elements", "reindex",
+    "invert_permutation", "reindex",
     "merge", "soup_to_mesh", "subset",
     "reindex_serial", "equivalent",
     "grid_quads", "run_bench", "write_csv",

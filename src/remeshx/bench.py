@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .mesh import MAX_VERTICES, Mesh, MeshError
+from .mesh import MAX_VERTICES, Mesh, MeshError, size_value
 from .pipeline import reindex
 from .serial import reindex_serial
 
@@ -40,8 +40,9 @@ class BenchRecord:
 
 def grid_quads(n: int) -> Mesh:
     """n x n grid of quads, 5 vertices stored per quad (4 corners + unused center)."""
-    if n < 1 or 5 * n * n >= MAX_VERTICES:
-        raise MeshError(f"grid size must be >= 1 and give under 2**32 vertices (5 n^2), got {n}")
+    n = size_value(n, "grid size", 1)
+    if 5 * n * n >= MAX_VERTICES:
+        raise MeshError(f"grid size must give under 2**32 vertices (5 n^2), got {n}")
     quads = n * n
     q = np.arange(quads, dtype=np.int64)
     qi = (q % n).astype(np.float32)
@@ -66,8 +67,7 @@ def _time_median(fn, reps: int) -> float:
 
 def run_bench(sizes: list[int], reps: int = 5) -> list[BenchRecord]:
     """Generate each grid once, time both paths, verify counts, and report."""
-    if reps < 1:
-        raise MeshError(f"reps must be >= 1, got {reps}")
+    reps = size_value(reps, "reps", 1)
     records = []
     for n in sizes:
         mesh = grid_quads(n)

@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .mesh import MAX_VERTICES, Mesh, MeshError, vertex_bits
+from .mesh import MAX_VERTICES, Mesh, MeshError, size_value, vertex_bits
 
 _RMX_MAGIC = b"RMX1"
 _RMX_HEADER = struct.Struct("<4sIIQQ")
@@ -38,7 +38,7 @@ def read_obj(path, dim: int | None = None, return_groups: bool = False):
     z with 0.  With ``return_groups`` also returns a dict mapping each
     group/material name to the list of element positions it covers.
     """
-    if dim not in (None, 2, 3):
+    if dim is not None and size_value(dim, "OBJ dim") not in (2, 3):
         raise FormatError(f"dim must be 2 or 3, got {dim}")
     coords: list[list[float]] = []
     faces: list[list[int]] = []

@@ -52,6 +52,13 @@ def vertex_rows(values, what: str, ndim: int = 2) -> np.ndarray:
     return rows
 
 
+def size_value(n, what: str, low: int = 0) -> int:
+    """Gate for size arguments: a Python or numpy integer, not bool, of at least ``low``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
+        raise MeshError(f"{what} must be a non-negative integer >= {low}, got {n!r}")
+    return int(n)
+
+
 def flag_array(values, length: int, what: str) -> np.ndarray:
     """Gate for flag arguments: bool of shape ``(length,)``; empty input passes as bool."""
     flags = np.asarray(values)
@@ -108,8 +115,7 @@ class Mesh:
 
     @classmethod
     def empty(cls, dim: int = 2, arity: int = 3) -> "Mesh":
-        if dim < 1 or arity < 1:
-            raise MeshError(f"an empty mesh needs dim >= 1 and arity >= 1, got {dim} and {arity}")
+        dim, arity = size_value(dim, "empty mesh dim", 1), size_value(arity, "empty mesh arity", 1)
         return cls(np.empty((0, dim), np.float32), np.empty((0, arity), np.uint32))
 
     @property

@@ -44,8 +44,6 @@ def soup_to_mesh(soup: np.ndarray) -> Mesh:
     """
     arr = vertex_rows(soup, "soup", ndim=3)
     m, arity, dim = arr.shape
-    if m == 0:
-        return Mesh.empty(dim=dim, arity=arity)
     vertices = arr.reshape(m * arity, dim)
     elements = np.arange(m * arity, dtype=np.uint32).reshape(m, arity)
     return reindex(Mesh(vertices, elements))[0]

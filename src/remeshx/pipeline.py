@@ -4,8 +4,8 @@ Step 1 marks used vertices and overwrites unused ones with a used vertex,
 turning them into removable duplicates.  Step 2 key-value sorts the vertices
 (carrying their original positions), flags first occurrences, and scans the
 flags into compacted destinations.  Step 3 scatters the survivors into the
-new vertex array.  Step 4 inverts the sort permutation and rewrites every
-element index as ``new_idx[perm[i]]``.
+new vertex array.  Step 4 scatters each sorted slot's new index to its
+original position, then rewrites every element index through that table.
 
 All intermediates are returned in :class:`ReindexScratch` so they can be
 inspected and asserted on directly.
@@ -13,6 +13,7 @@ inspected and asserted on directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,17 +26,21 @@ from .primitives import bitwise_sort_order, inclusive_scan, scatter
 class ReindexScratch:
     """Intermediate arrays of one pipeline run.
 
-    ``org_id`` records where each sorted vertex came from; ``perm`` is its
-    inverse.  For a mesh with zero elements the pipeline short-circuits and
-    all arrays except ``is_used`` are empty.
+    ``org_id`` records where each sorted vertex came from; step 4 scatters
+    ``new_idx`` through it.  For a mesh with zero elements the pipeline
+    short-circuits and all arrays except ``is_used`` are empty.
     """
 
     is_used: np.ndarray   # bool, one per input vertex
     org_id: np.ndarray    # uint32, one per sorted vertex
     nodup: np.ndarray     # bool, one per sorted vertex
     new_idx: np.ndarray   # uint32, one per sorted vertex
-    perm: np.ndarray      # uint32, one per input vertex
     new_count: int
+
+    @cached_property
+    def perm(self) -> np.ndarray:
+        """Inverse of ``org_id``, one uint32 per input vertex; reindex never computes it."""
+        return invert_permutation(self.org_id)
 
 
 def mark_used(mesh: Mesh) -> np.ndarray:
@@ -108,17 +113,6 @@ def invert_permutation(org_id: np.ndarray) -> np.ndarray:
     return perm
 
 
-def remap_elements(elements: np.ndarray, perm: np.ndarray,
-                   new_idx: np.ndarray) -> np.ndarray:
-    """Rewrite every index i as new_idx[perm[i]] (sort position, then compacted position)."""
-    new_idx = index_array(new_idx, MAX_VERTICES, "new index", ndim=1)
-    perm = index_array(perm, len(new_idx), "perm entry", ndim=1)
-    if len(perm) != len(new_idx):
-        raise MeshError(f"perm/new_idx length mismatch: {len(perm)} vs {len(new_idx)}")
-    elements = index_array(elements, len(perm), "element index")
-    return new_idx[perm[elements]]
-
-
 def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
     """Remove duplicate and unused vertices; returns the new mesh and all intermediates.
 
@@ -130,7 +124,7 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
     if mesh.n_elements == 0:
         empty_u32 = np.empty(0, np.uint32)
         empty_bool = np.empty(0, bool)
-        scratch = ReindexScratch(is_used, empty_u32, empty_bool, empty_u32, empty_u32, 0)
+        scratch = ReindexScratch(is_used, empty_u32, empty_bool, empty_u32, 0)
         return Mesh.empty(dim=mesh.dim, arity=mesh.arity), scratch
 
     replacement = mesh.vertices[int(mesh.elements[0, 0])]
@@ -139,7 +133,8 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
     nodup = flag_first_occurrences(sorted_vtx)
     new_idx, new_count = compute_new_indices(nodup)
     new_vtx = compact_vertices(sorted_vtx, nodup, new_idx, new_count)
-    perm = invert_permutation(org_id)
-    new_elements = remap_elements(mesh.elements, perm, new_idx)
-    scratch = ReindexScratch(is_used, org_id, nodup, new_idx, perm, new_count)
-    return Mesh(new_vtx, new_elements), scratch
+    # org_id is a permutation of every input position, so each slot is written
+    table = np.empty(mesh.n_vertices, np.uint32)
+    table[org_id] = new_idx
+    scratch = ReindexScratch(is_used, org_id, nodup, new_idx, new_count)
+    return Mesh(new_vtx, table[mesh.elements]), scratch

@@ -9,18 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MAX_VERTICES, MeshError, flag_array, index_array, vertex_bits, vertex_rows
-
-
-def _length(n, what: str) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise MeshError(f"{what} must be a non-negative integer, got {n!r}")
-    return int(n)
+from .mesh import (MAX_VERTICES, MeshError, flag_array, index_array, size_value, vertex_bits,
+                   vertex_rows)
 
 
 def fill_sequence(n: int) -> np.ndarray:
     """The identity index array [0, 1, ..., n-1] as uint32."""
-    return np.arange(_length(n, "sequence length"), dtype=np.uint32)
+    return np.arange(size_value(n, "sequence length"), dtype=np.uint32)
 
 
 def bitwise_sort_order(keys: np.ndarray) -> np.ndarray:
@@ -84,8 +79,10 @@ def scatter(values: np.ndarray, positions: np.ndarray, mask: np.ndarray,
     carry bitwise-identical values, so the result is well-defined.
     """
     values = np.asarray(values)
+    if values.ndim < 1:
+        raise MeshError(f"scatter values need at least one axis, got shape {values.shape}")
     positions = np.asarray(positions)
-    out_len = _length(out_len, "scatter output length")
+    out_len = size_value(out_len, "scatter output length")
     mask = flag_array(mask, len(values), "scatter mask")
     if len(positions) != len(mask):
         raise MeshError(f"scatter length mismatch: {len(positions)} positions, {len(mask)} flags")

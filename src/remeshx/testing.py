@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, bitwise_equal, dereference, soups_equal, vertex_bits
+from .mesh import (Mesh, MeshError, bitwise_equal, dereference, size_value, soups_equal,
+                   vertex_bits)
 from .pipeline import reindex
 from .serial import equivalent, reindex_serial
 
@@ -34,7 +35,9 @@ class RandomMeshSpec:
 def random_mesh(spec: RandomMeshSpec) -> Mesh:
     """Lattice-coordinate mesh with controlled duplicate and unused fractions."""
     if not (0.0 <= spec.dup_fraction <= 1.0 and 0.0 <= spec.unused_fraction <= 1.0):
-        raise ValueError("fractions must lie in [0, 1]")
+        raise MeshError("fractions must lie in [0, 1]")
+    for name, low in (("n_base_vertices", 0), ("n_elements", 0), ("arity", 1), ("dim", 1)):
+        size_value(getattr(spec, name), name, low)
     rng = np.random.default_rng(spec.seed)
     pool = max(1, spec.coord_pool_size)
     base = rng.integers(0, pool, size=(spec.n_base_vertices, spec.dim)).astype(np.float32)

@@ -9,7 +9,8 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.mark.parametrize("script,argv,expected", [
-    ("01_worked_example.py", [], ["soup preserved: True", "matches serial baseline: True"]),
+    ("01_worked_example.py", [], ["hand-run steps bitwise_equal to reindex: True",
+                                  "soup preserved: True", "matches serial baseline: True"]),
     ("02_use_cases.py", [], ["16 in, 10 out", "round trip exact: True"]),
     ("03_benchmark.py", ["8"], ["vertices_out", "wrote bench.csv"]),
 ])

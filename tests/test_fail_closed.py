@@ -8,10 +8,11 @@ nothing behind.
 import numpy as np
 import pytest
 
-from remeshx import (FormatError, Mesh, MeshError, compute_new_indices,
+from remeshx import (FormatError, Mesh, MeshError, RandomMeshSpec, compute_new_indices,
                      compute_sort_permutation, fill_sequence, flag_first_occurrences,
-                     inclusive_scan, invert_permutation, key_value_sort, overwrite_unused,
-                     remap_elements, scatter, soups_equal, subset, write_obj)
+                     grid_quads, inclusive_scan, invert_permutation, key_value_sort,
+                     overwrite_unused, random_mesh, read_obj, run_bench, scatter, soups_equal,
+                     subset, write_obj)
 from remeshx.primitives import bitwise_sort_order
 from conftest import WORKED_ELEMENTS, WORKED_VERTICES, vtx
 
@@ -38,15 +39,6 @@ CASES = [
                  MeshError, "-1", id="scatter-negative-position"),
     pytest.param(lambda p: scatter(TWO_ROWS, np.array([1.0, 0.0]), [True, True], 2),
                  MeshError, "integers", id="scatter-float-positions"),
-    pytest.param(lambda p: remap_elements(np.array([[-1]]), np.array([1, 0], np.uint32),
-                                          np.array([0, 1], np.uint32)),
-                 MeshError, "-1", id="remap_elements-negative-index"),
-    pytest.param(lambda p: remap_elements(np.array([[1]]), np.array([0, 5], np.uint32),
-                                          np.array([0, 1], np.uint32)),
-                 MeshError, "5", id="remap_elements-perm-beyond-new_idx"),
-    pytest.param(lambda p: remap_elements(np.array([[0]]), np.array([0], np.uint32),
-                                          np.array([0.5])),
-                 MeshError, "integers", id="remap_elements-float-new_idx"),
     pytest.param(lambda p: subset(WORKED, np.ones((4, 1), bool)), MeshError, "shape",
                  id="subset-2d-mask"),
     # flag arrays
@@ -63,6 +55,8 @@ CASES = [
                  MeshError, "non-negative", id="scatter-negative-out_len"),
     pytest.param(lambda p: key_value_sort(TWO_ROWS, np.int64(3)), MeshError, "shape",
                  id="key_value_sort-0d-values"),
+    pytest.param(lambda p: scatter(np.float32(1), np.array([0]), [True], 1), MeshError, "axis",
+                 id="scatter-0d-values"),
     # vertex arrays
     pytest.param(lambda p: key_value_sort(ROW, np.arange(3)), MeshError, "axes",
                  id="key_value_sort-1d-keys"),
@@ -93,6 +87,19 @@ CASES = [
     pytest.param(lambda p: Mesh.empty(dim=-1), MeshError, "dim", id="Mesh.empty-negative-dim"),
     pytest.param(lambda p: Mesh.empty(arity=-1), MeshError, "arity",
                  id="Mesh.empty-negative-arity"),
+    # size arguments
+    pytest.param(lambda p: fill_sequence(True), MeshError, "integer", id="fill_sequence-bool"),
+    pytest.param(lambda p: grid_quads(2.5), MeshError, "integer", id="grid_quads-fraction"),
+    pytest.param(lambda p: Mesh.empty(dim=2.5), MeshError, "integer",
+                 id="Mesh.empty-fractional-dim"),
+    pytest.param(lambda p: run_bench([2], reps=2.5), MeshError, "integer",
+                 id="run_bench-fractional-reps"),
+    pytest.param(lambda p: read_obj(p, dim=2.0), MeshError, "integer",
+                 id="read_obj-float-dim"),
+    pytest.param(lambda p: random_mesh(RandomMeshSpec(seed=0, n_base_vertices=-1)), MeshError,
+                 "n_base_vertices", id="random_mesh-negative-base-vertices"),
+    pytest.param(lambda p: random_mesh(RandomMeshSpec(seed=0, n_elements=-1)), MeshError,
+                 "n_elements", id="random_mesh-negative-elements"),
     # OBJ writes that could not be read back bit-exactly
     pytest.param(lambda p: write_obj(tri_with(0xFFC00000), p), FormatError, "NaN",
                  id="write_obj-negative-nan"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import remeshx
 from remeshx import InvalidMeshError, Issue, Mesh, MeshError, dereference, vertex_bits
 from conftest import A, B, C, D, E, F, elems, vtx
 
@@ -102,3 +103,7 @@ def test_mesh_accepts_int_lists_and_empty_arrays():
     assert Mesh(vtx((0, 0)), np.empty((0, 4))).arity == 4
     wide = np.array([[0, 1, 2]], np.uint64)
     assert Mesh(vtx((0, 0), (1, 1), (2, 2)), wide).elements.dtype == np.uint32
+
+
+def test_every_export_resolves():
+    assert [name for name in remeshx.__all__ if not hasattr(remeshx, name)] == []

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from remeshx import (Mesh, MeshError, bitwise_equal, compact_vertices,
                      compute_new_indices, compute_sort_permutation, dereference,
                      flag_first_occurrences, invert_permutation, mark_used,
-                     overwrite_unused, reindex, remap_elements, scatter,
+                     overwrite_unused, reindex, scatter,
                      soups_equal, vertex_bits)
 from conftest import A, B, C, D, E, F, elems, vtx
 
@@ -143,25 +143,6 @@ def test_invert_permutation_rejects_length_beyond_index_range(monkeypatch):
         invert_permutation(np.array([3, 2, 0, 1], np.uint32))
 
 
-def test_remap_elements_worked(worked_mesh):
-    perm = np.array([0, 3, 4, 1, 6, 5, 8, 9, 2, 7], np.uint32)
-    new_idx = np.array([0, 0, 0, 1, 2, 2, 3, 3, 4, 5], np.uint32)
-    out = remap_elements(worked_mesh.elements, perm, new_idx)
-    assert out.tolist() == [[0, 1, 2], [0, 2, 3], [2, 4, 5], [2, 5, 3]]
-
-
-def test_remap_elements_identity():
-    elements = elems((0, 1, 2), (2, 1, 0))
-    identity = np.arange(3, dtype=np.uint32)
-    assert np.array_equal(remap_elements(elements, identity, identity), elements)
-
-
-def test_remap_elements_repeated_index():
-    out = remap_elements(elems((0, 0, 0)), np.array([1, 0], np.uint32),
-                         np.array([0, 1], np.uint32))
-    assert out.tolist() == [[1, 1, 1]]
-
-
 def test_reindex_worked(worked_mesh):
     out, scratch = reindex(worked_mesh)
     assert out.n_vertices == 6
@@ -169,6 +150,12 @@ def test_reindex_worked(worked_mesh):
     assert out.elements.tolist() == [[0, 1, 2], [0, 2, 3], [2, 4, 5], [2, 5, 3]]
     assert scratch.new_count == 6
     assert soups_equal(dereference(out), dereference(worked_mesh))
+
+
+def test_reindex_leaves_perm_to_first_access(worked_mesh):
+    _, scratch = reindex(worked_mesh)
+    assert "perm" not in vars(scratch)
+    assert scratch.perm.tolist() == [0, 3, 4, 1, 6, 5, 8, 9, 2, 7]
 
 
 def test_reindex_already_compact():
@@ -234,6 +221,7 @@ def test_reindex_properties(mesh):
         assert used.all()
         assert np.array_equal(scratch.perm[scratch.org_id],
                               np.arange(mesh.n_vertices, dtype=np.uint32))
+        assert np.array_equal(out.elements, scratch.new_idx[scratch.perm[mesh.elements]])
     assert bitwise_equal(reindex(out)[0], out)
 
 

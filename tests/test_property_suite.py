@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from remeshx import (Mesh, RandomMeshSpec, bitwise_equal, check_all,
+from remeshx import (Mesh, MeshError, RandomMeshSpec, bitwise_equal, check_all,
                      dereference, random_mesh, reindex, soups_equal)
 
 
@@ -44,7 +44,7 @@ def test_random_mesh_zero_elements():
 
 
 def test_random_mesh_rejects_bad_fraction():
-    with pytest.raises(ValueError):
+    with pytest.raises(MeshError, match="fractions"):
         random_mesh(RandomMeshSpec(seed=0, dup_fraction=1.5))
 
 
