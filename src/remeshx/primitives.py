@@ -1,9 +1,11 @@
 """The four parallel building blocks: sequence fill, key-value sort, scan, scatter.
 
 Only the contracts matter to the pipeline; the implementations here lean on
-numpy's vectorized kernels.  The key-value sort is deliberately STABLE
-(ties broken by original position) so that every downstream result is
-bit-deterministic -- any stable result is also a valid unstable one.
+numpy's vectorized kernels.  The key-value sort is STABLE (ties broken by
+original position), so every downstream result is bit-deterministic, and any
+stable result is also a valid unstable one.  Its stability does not rest on
+numpy's choice of sort algorithm: every pass sorts distinct words that carry a
+row position in their low 32 bits, and distinct words have one sorted order.
 """
 from __future__ import annotations
 
@@ -21,23 +23,28 @@ def fill_sequence(n: int) -> np.ndarray:
 def bitwise_sort_order(keys: np.ndarray) -> np.ndarray:
     """Stable ascending order of vertex rows under the bitwise lexicographic order.
 
-    An LSD sort on packed keys: one stable pass per pair of components, from
-    the least significant pair up, each on the uint64 ``(bits[hi] << 32) |
-    bits[hi + 1]``; an odd leading component sorts alone as uint32.  The order
-    equals a stable lexicographic sort of the uint32 component rows.
+    An LSD sort with one pass per component, from the last up to the first.
+    A pass packs each row's component into the high half of a uint64 word and
+    the row's slot in the order so far into the low half, sorts the words
+    with plain ``np.sort``, and reads the low halves back as ranks to compose
+    with that order.  Words are distinct, so each pass is stable whatever
+    algorithm sorts it.  The order equals a stable lexicographic sort of the
+    uint32 component rows; more than 2^32 - 1 rows raise ``MeshError``.
     """
     bits = vertex_bits(keys)
+    n = len(bits)
+    if n >= MAX_VERTICES:
+        raise MeshError(f"sort of {n} rows exceeds 32-bit position range")
+    word = np.empty(n, np.uint64)
     order = None
-    for hi in range(bits.shape[1] - 2, -2, -2):
-        if hi < 0:
-            key = bits[:, 0]
-        else:
-            key = (bits[:, hi].astype(np.uint64) << 32) | bits[:, hi + 1]
-        if order is None:
-            order = np.argsort(key, kind="stable")
-        else:
-            order = order[np.argsort(key[order], kind="stable")]
-    return order.astype(np.uint32)
+    for c in range(bits.shape[1] - 1, -1, -1):
+        np.left_shift(bits[:, c] if order is None else bits[order, c], 32, out=word,
+                      dtype=np.uint64)
+        word |= np.arange(n, dtype=np.uint32)
+        word.sort()
+        rank = word.astype(np.uint32)
+        order = rank if order is None else order[rank]
+    return order
 
 
 def key_value_sort(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

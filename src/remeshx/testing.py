@@ -38,8 +38,8 @@ def random_mesh(spec: RandomMeshSpec) -> Mesh:
         raise MeshError("fractions must lie in [0, 1]")
     for name, low in (("n_base_vertices", 0), ("n_elements", 0), ("arity", 1), ("dim", 1)):
         size_value(getattr(spec, name), name, low)
+    pool = size_value(spec.coord_pool_size, "coord_pool_size", 1)
     rng = np.random.default_rng(spec.seed)
-    pool = max(1, spec.coord_pool_size)
     base = rng.integers(0, pool, size=(spec.n_base_vertices, spec.dim)).astype(np.float32)
 
     n_dups = round(spec.dup_fraction * spec.n_base_vertices)

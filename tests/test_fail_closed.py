@@ -100,6 +100,12 @@ CASES = [
                  "n_base_vertices", id="random_mesh-negative-base-vertices"),
     pytest.param(lambda p: random_mesh(RandomMeshSpec(seed=0, n_elements=-1)), MeshError,
                  "n_elements", id="random_mesh-negative-elements"),
+    pytest.param(lambda p: random_mesh(RandomMeshSpec(seed=0, coord_pool_size=0)), MeshError,
+                 "coord_pool_size", id="random_mesh-empty-coord-pool"),
+    pytest.param(lambda p: random_mesh(RandomMeshSpec(seed=0, coord_pool_size=-3)), MeshError,
+                 "coord_pool_size", id="random_mesh-negative-coord-pool"),
+    pytest.param(lambda p: random_mesh(RandomMeshSpec(seed=0, coord_pool_size=2.5)), MeshError,
+                 "coord_pool_size", id="random_mesh-fractional-coord-pool"),
     # OBJ writes that could not be read back bit-exactly
     pytest.param(lambda p: write_obj(tri_with(0xFFC00000), p), FormatError, "NaN",
                  id="write_obj-negative-nan"),

@@ -84,6 +84,36 @@ def test_bitwise_sort_order_rejects_rows_without_components():
         bitwise_sort_order(np.empty((3, 0), np.float32))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_bitwise_sort_order_keeps_far_apart_ties_stable(dim):
+    # more than 2**16 rows over 4 patterns per component: every tie spans the
+    # whole input, so a position packed into too few bits would reorder it
+    patterns = np.array([0x80000000, 0x00000000, 0xFFFFFFFF, 0x3F800000], np.uint32)
+    rng = np.random.default_rng(300 + dim)
+    vertices = patterns[rng.integers(0, 4, size=(300_000, dim))].view(np.float32)
+    expected = np.lexsort(vertex_bits(vertices).T[::-1])
+    assert np.array_equal(bitwise_sort_order(vertices), expected)
+
+
+@pytest.mark.parametrize("view", [lambda v: v[::2], lambda v: v[:, ::-1], np.asfortranarray],
+                         ids=["row-step", "reversed-columns", "fortran"])
+def test_bitwise_sort_order_of_non_contiguous_rows_equals_contiguous_copy(view):
+    rng = np.random.default_rng(7)
+    rows = view(rng.integers(0, 3, size=(1000, 3)).astype(np.float32))
+    assert not rows.flags.c_contiguous
+    assert np.array_equal(bitwise_sort_order(rows), bitwise_sort_order(rows.copy(order="C")))
+
+
+def test_bitwise_sort_order_rejects_rows_beyond_position_range(monkeypatch):
+    # a lowered limit stands in for 2**32, whose arrays would not fit in memory
+    monkeypatch.setattr("remeshx.primitives.MAX_VERTICES", 4)
+    assert bitwise_sort_order(vtx(C, B, A)).tolist() == [2, 1, 0]
+    with pytest.raises(MeshError, match="32-bit"):
+        bitwise_sort_order(vtx(D, C, B, A))
+    with pytest.raises(MeshError, match="32-bit"):
+        key_value_sort(vtx(D, C, B, A), fill_sequence(4))
+
+
 def test_inclusive_scan_worked_example():
     flags = [1, 0, 0, 1, 1, 0, 1, 0, 1, 1]
     assert inclusive_scan(flags).tolist() == [1, 1, 1, 2, 3, 3, 4, 4, 5, 6]
