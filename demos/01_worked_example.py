@@ -36,7 +36,8 @@ print("nodup   =", nodup.astype(int))
 new_idx, new_count = rx.compute_new_indices(nodup)
 print("new_idx =", new_idx, " new_count =", new_count)
 
-# Step 3: scatter the survivors into the compact vertex array.
+# Step 3: stream-compact the survivors into the compact vertex array. Survivor k
+# lands in slot k, so this equals scattering each survivor to its new_idx.
 new_vtx = rx.compact_vertices(sorted_vtx, nodup, new_idx, new_count)
 print("\nnew vertices =", new_vtx.tolist())
 

@@ -45,6 +45,7 @@ def read_obj(path, dim: int | None = None, return_groups: bool = False):
     groups: dict[str, list[int]] = {}
     active_groups: list[str] = []
     active_material: list[str] = []
+    active: list[str] = []  # distinct names over both, so a face is recorded once per name
     max_components = 0
 
     with open(path, "r") as handle:
@@ -85,7 +86,7 @@ def read_obj(path, dim: int | None = None, return_groups: bool = False):
                 if faces and len(face) != len(faces[0]):
                     raise FormatError(
                         f"{path}:{lineno}: mixed arity ({len(face)} vs {len(faces[0])})")
-                for name in active_groups + active_material:
+                for name in active:
                     groups[name].append(len(faces))
                 faces.append(face)
             elif kind in ("g", "o", "usemtl"):
@@ -95,6 +96,7 @@ def read_obj(path, dim: int | None = None, return_groups: bool = False):
                     active_material = names
                 else:
                     active_groups = names
+                active = list(dict.fromkeys(active_groups + active_material))
                 for name in names:
                     groups.setdefault(name, [])
             # vn/vt/s/mtllib and anything unknown: ignored
@@ -148,8 +150,8 @@ def write_bin(mesh: Mesh, path) -> None:
     with open(path, "wb") as handle:
         handle.write(_RMX_HEADER.pack(_RMX_MAGIC, mesh.dim, mesh.arity,
                                       mesh.n_vertices, mesh.n_elements))
-        handle.write(np.ascontiguousarray(mesh.vertices, dtype="<f4").tobytes())
-        handle.write(np.ascontiguousarray(mesh.elements, dtype="<u4").tobytes())
+        handle.write(np.ascontiguousarray(mesh.vertices, dtype="<f4"))
+        handle.write(np.ascontiguousarray(mesh.elements, dtype="<u4"))
 
 
 def read_bin(path) -> Mesh:

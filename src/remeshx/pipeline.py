@@ -3,9 +3,11 @@
 Step 1 marks used vertices and overwrites unused ones with a used vertex,
 turning them into removable duplicates.  Step 2 key-value sorts the vertices
 (carrying their original positions), flags first occurrences, and scans the
-flags into compacted destinations.  Step 3 scatters the survivors into the
-new vertex array.  Step 4 scatters each sorted slot's new index to its
-original position, then rewrites every element index through that table.
+flags into compacted destinations.  Step 3 stream-compacts the survivors
+into the new vertex array: the k-th first occurrence goes to slot k, which,
+with the scan positions of step 2, is the paper's scatter.  Step 4 scatters
+each sorted slot's new index to its original position, then rewrites every
+element index through that table.
 
 All intermediates are returned in :class:`ReindexScratch` so they can be
 inspected and asserted on directly.
@@ -17,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import (MAX_VERTICES, Mesh, MeshError, flag_array, index_array, vertex_bits,
-                   vertex_rows)
-from .primitives import bitwise_sort_order, inclusive_scan, scatter
+from .mesh import (MAX_VERTICES, Mesh, MeshError, flag_array, index_array, size_value,
+                   vertex_bits, vertex_rows)
+from .primitives import bitwise_sort_order, inclusive_scan
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,10 @@ def overwrite_unused(vertices: np.ndarray, is_used: np.ndarray,
     is_used = flag_array(is_used, len(vertices), "used flags")
     if replacement.shape != vertices.shape[1:]:
         raise MeshError(f"replacement of shape {replacement.shape} for vertices {vertices.shape}")
-    out = vertices.copy()
-    out[~is_used] = replacement
+    out = np.array(vertices, order="C")
+    # one void item per row turns the row assignment into a 1-D masked byte copy
+    row = np.dtype((np.void, out.itemsize * out.shape[1]))
+    np.putmask(out.view(row).reshape(-1), ~is_used, np.ascontiguousarray(replacement).view(row))
     return out
 
 
@@ -89,14 +93,30 @@ def compute_new_indices(nodup: np.ndarray) -> tuple[np.ndarray, int]:
         return np.empty(0, np.uint32), 0
     if not nodup[0]:
         raise MeshError("first sorted vertex must be flagged as a first occurrence")
-    new_idx = inclusive_scan(nodup) - 1
+    new_idx = inclusive_scan(nodup)
+    new_idx -= 1
     return new_idx, int(new_idx[-1]) + 1
 
 
 def compact_vertices(sorted_vtx: np.ndarray, nodup: np.ndarray,
                      new_idx: np.ndarray, new_count: int) -> np.ndarray:
-    """Scatter first occurrences to their compacted positions."""
-    return scatter(vertex_rows(sorted_vtx, "sorted vertices"), new_idx, nodup, new_count)
+    """Stream-compact the first occurrences: the k-th flagged row goes to slot k.
+
+    With the scan positions of :func:`compute_new_indices` this is the paper's
+    scatter of survivors to ``new_idx``; any other ``new_idx`` or ``new_count``
+    raises ``MeshError``.
+    """
+    sorted_vtx = vertex_rows(sorted_vtx, "sorted vertices")
+    nodup = flag_array(nodup, len(sorted_vtx), "first-occurrence flags")
+    new_idx = index_array(new_idx, MAX_VERTICES, "new index", ndim=1)
+    if len(new_idx) != len(nodup):
+        raise MeshError(f"{len(new_idx)} new indices for {len(nodup)} sorted vertices")
+    n_flags = np.count_nonzero(nodup)
+    if size_value(new_count, "new vertex count") != n_flags:
+        raise MeshError(f"new vertex count {new_count} for {n_flags} first occurrences")
+    if not np.array_equal(np.compress(nodup, new_idx), np.arange(n_flags)):
+        raise MeshError("flagged new indices must run 0, 1, ..., new_count - 1")
+    return np.compress(nodup, sorted_vtx, axis=0)
 
 
 def invert_permutation(org_id: np.ndarray) -> np.ndarray:
@@ -128,11 +148,12 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
         return Mesh.empty(dim=mesh.dim, arity=mesh.arity), scratch
 
     replacement = mesh.vertices[int(mesh.elements[0, 0])]
-    cleaned = overwrite_unused(mesh.vertices, is_used, replacement)
-    sorted_vtx, org_id = compute_sort_permutation(cleaned)
+    sorted_vtx, org_id = compute_sort_permutation(
+        overwrite_unused(mesh.vertices, is_used, replacement))
     nodup = flag_first_occurrences(sorted_vtx)
     new_idx, new_count = compute_new_indices(nodup)
     new_vtx = compact_vertices(sorted_vtx, nodup, new_idx, new_count)
+    del sorted_vtx  # free the sorted rows before the table and the remap allocate
     # org_id is a permutation of every input position, so each slot is written
     table = np.empty(mesh.n_vertices, np.uint32)
     table[org_id] = new_idx

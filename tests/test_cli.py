@@ -101,6 +101,19 @@ def test_subset_cli_keep_and_group(tmp_path, capsys):
     assert code == 1 and "nope" in stderr
 
 
+def test_subset_group_named_by_both_group_and_material(tmp_path, capsys):
+    # "foo" names a group and a material, and "bar" repeats on its g line: each
+    # face must still be listed once per name, or the selector is refused
+    src = tmp_path / "named.obj"
+    src.write_text("v 0 0\nv 1 0\nv 0 1\nv 1 1\n"
+                   "g foo\nusemtl foo\nf 1 2 3\nf 2 4 3\ng bar bar\nf 1 2 4\n")
+    out = tmp_path / "foo.rmx"
+    assert run(capsys, "subset", src, out, "--group", "foo")[0] == 0
+    assert read_bin(out).n_elements == 3
+    assert run(capsys, "subset", src, out, "--group", "bar")[0] == 0
+    assert read_bin(out).n_elements == 1
+
+
 def test_bench_cli_csv(tmp_path, capsys):
     csv = tmp_path / "bench.csv"
     code, stdout, _ = run(capsys, "bench", "--sizes", "4,8", "--reps", "1",

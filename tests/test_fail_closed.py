@@ -8,11 +8,11 @@ nothing behind.
 import numpy as np
 import pytest
 
-from remeshx import (FormatError, Mesh, MeshError, RandomMeshSpec, compute_new_indices,
-                     compute_sort_permutation, fill_sequence, flag_first_occurrences,
-                     grid_quads, inclusive_scan, invert_permutation, key_value_sort,
-                     overwrite_unused, random_mesh, read_obj, run_bench, scatter, soups_equal,
-                     subset, write_obj)
+from remeshx import (FormatError, Mesh, MeshError, RandomMeshSpec, compact_vertices,
+                     compute_new_indices, compute_sort_permutation, fill_sequence,
+                     flag_first_occurrences, grid_quads, inclusive_scan, invert_permutation,
+                     key_value_sort, overwrite_unused, random_mesh, read_obj, run_bench, scatter,
+                     soups_equal, subset, write_obj)
 from remeshx.primitives import bitwise_sort_order
 from conftest import WORKED_ELEMENTS, WORKED_VERTICES, vtx
 
@@ -20,6 +20,10 @@ ROW = np.array([3, 1, 2], np.float32)
 TWO_ROWS = vtx((1, 1), (2, 2))
 THREE_ROWS = vtx((1, 1), (2, 2), (3, 3))
 WORKED = Mesh(np.array(WORKED_VERTICES, np.float32), np.array(WORKED_ELEMENTS, np.uint32))
+# three sorted rows, the last two equal, with their scan-derived destinations
+SORTED = vtx((1, 1), (2, 2), (2, 2))
+NODUP = np.array([True, True, False])
+NEW_IDX = np.array([0, 1, 1], np.uint32)
 
 
 def tri_with(component: int) -> Mesh:
@@ -41,6 +45,14 @@ CASES = [
                  MeshError, "integers", id="scatter-float-positions"),
     pytest.param(lambda p: subset(WORKED, np.ones((4, 1), bool)), MeshError, "shape",
                  id="subset-2d-mask"),
+    pytest.param(lambda p: compact_vertices(SORTED, NODUP, NEW_IDX.astype(float), 2),
+                 MeshError, "integers", id="compact_vertices-float-new_idx"),
+    pytest.param(lambda p: compact_vertices(SORTED, NODUP, NEW_IDX[:2], 2), MeshError,
+                 "2 new indices for 3", id="compact_vertices-length-mismatch"),
+    pytest.param(lambda p: compact_vertices(SORTED, NODUP, np.array([1, 0, 0], np.uint32), 2),
+                 MeshError, "0, 1, ...", id="compact_vertices-permuted-new_idx"),
+    pytest.param(lambda p: compact_vertices(SORTED, NODUP, NEW_IDX, 3), MeshError,
+                 "count 3 for 2", id="compact_vertices-new_count-off-by-one"),
     # flag arrays
     pytest.param(lambda p: compute_new_indices(np.ones((2, 2), bool)), MeshError, "shape",
                  id="compute_new_indices-2d-flags"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,14 +7,27 @@ from hypothesis import strategies as st
 
 from remeshx import (Mesh, MeshError, bitwise_equal, compact_vertices,
                      compute_new_indices, compute_sort_permutation, dereference,
-                     flag_first_occurrences, invert_permutation, mark_used,
+                     flag_first_occurrences, grid_quads, invert_permutation, mark_used,
                      overwrite_unused, reindex, scatter,
                      soups_equal, vertex_bits)
 from conftest import A, B, C, D, E, F, elems, vtx
 
 
+# float32 bit patterns that a float comparison or conversion could lose: signed
+# zeros, infinities, quiet and signalling NaNs of both signs with payloads
+RAW_BITS = [0x00000000, 0x80000000, 0x7F800000, 0xFF800000, 0x7FC00000, 0x7FC00001,
+            0xFFC00002, 0x7F800001, 0xFFBFFFFF, 0x3F800000]
+
+
 def cleaned_worked_vertices():
     return vtx(A, B, C, A, D, C, E, F, A, D)
+
+
+def overwrite_by_boolean_rows(vertices, is_used, replacement):
+    """The former step-1 kernel: a 2-D boolean row assignment on a copy."""
+    out = np.array(vertices, np.float32)
+    out[~np.asarray(is_used)] = replacement
+    return out
 
 
 def test_mark_used_worked(worked_mesh):
@@ -44,6 +59,26 @@ def test_overwrite_unused_all_used():
 def test_overwrite_unused_all_unused():
     out = overwrite_unused(vtx(A, B), [False, False], np.array(F, np.float32))
     assert out.tolist() == vtx(F, F).tolist()
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_overwrite_unused_matches_boolean_row_assignment(dim, layout):
+    rng = np.random.default_rng(dim)
+    bits = np.array(RAW_BITS, np.uint32)[rng.integers(0, len(RAW_BITS), size=(60, dim))]
+    base = bits.view(np.float32)
+    vertices = {"C": base[:30], "F": np.asfortranarray(base[:30]),
+                "strided": base[::2, ::-1]}[layout]
+    is_used = rng.random(len(vertices)) < 0.6
+    assert is_used.any() and not is_used.all()
+    before = vertex_bits(vertices).copy()
+    # the layout's own first row (strided in F order), a reversed row, a row of the base
+    for replacement in (vertices[0], vertices[1, ::-1], base[-1]):
+        got = overwrite_unused(vertices, is_used, replacement)
+        want = overwrite_by_boolean_rows(vertices, is_used, replacement)
+        assert got.flags.c_contiguous and got.shape == vertices.shape
+        assert np.array_equal(vertex_bits(got), vertex_bits(want))
+    assert np.array_equal(vertex_bits(vertices), before)
 
 
 def test_sort_permutation_worked():
@@ -108,6 +143,21 @@ def test_compact_mask_is_optional():
     masked = compact_vertices(sorted_vtx, nodup, new_idx, new_count)
     unmasked = scatter(sorted_vtx, new_idx, np.ones(len(sorted_vtx), bool), new_count)
     assert np.array_equal(masked, unmasked)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+    st.lists(st.sampled_from(RAW_BITS), min_size=dim, max_size=dim), max_size=40)))
+def test_compact_vertices_equals_scatter_to_scan_positions(rows):
+    dim = len(rows[0]) if rows else 2
+    sorted_vtx, _ = compute_sort_permutation(
+        np.array(rows, np.uint32).reshape(-1, dim).view(np.float32))
+    nodup = flag_first_occurrences(sorted_vtx)
+    new_idx, new_count = compute_new_indices(nodup)
+    compacted = compact_vertices(sorted_vtx, nodup, new_idx, new_count)
+    scattered = scatter(sorted_vtx, new_idx, nodup, new_count)
+    assert compacted.shape == scattered.shape == (new_count, dim)
+    assert np.array_equal(vertex_bits(compacted), vertex_bits(scattered))
 
 
 def test_invert_permutation_worked():
@@ -193,6 +243,22 @@ def test_reindex_welds_identical_nan_payloads():
     mesh = Mesh(vtx((payload, 1.0), (payload, 1.0), (2.0, 2.0)), elems((0, 1, 2)))
     out, _ = reindex(mesh)
     assert out.n_vertices == 2
+
+
+def test_reindex_peak_allocation_is_under_three_times_the_input():
+    mesh = grid_quads(256)
+    input_bytes = mesh.vertices.nbytes + mesh.elements.nbytes
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        reindex(mesh)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 3 * input_bytes, f"peak {peak / input_bytes:.2f}x the input"
 
 
 @st.composite
