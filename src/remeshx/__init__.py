@@ -7,7 +7,7 @@ composition ops, a benchmark harness, and OBJ/binary I/O.
 """
 from .mesh import (InvalidMeshError, Issue, Mesh, MeshError, bitwise_equal,
                    dereference, soups_equal, vertex_bits)
-from .primitives import fill_sequence, inclusive_scan, key_value_sort, scatter
+from .primitives import inclusive_scan
 from .pipeline import (ReindexScratch, compact_vertices, compute_new_indices,
                        compute_sort_permutation, flag_first_occurrences,
                        invert_permutation, mark_used, overwrite_unused,
@@ -24,8 +24,7 @@ __all__ = [
     "Mesh", "Issue", "MeshError", "InvalidMeshError", "FormatError",
     "ReindexScratch", "BenchRecord", "RandomMeshSpec",
     "dereference", "soups_equal", "bitwise_equal", "vertex_bits",
-    "fill_sequence", "key_value_sort", "inclusive_scan", "scatter",
-    "mark_used", "overwrite_unused", "compute_sort_permutation",
+    "inclusive_scan", "mark_used", "overwrite_unused", "compute_sort_permutation",
     "flag_first_occurrences", "compute_new_indices", "compact_vertices",
     "invert_permutation", "reindex",
     "merge", "soup_to_mesh", "subset",

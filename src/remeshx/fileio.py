@@ -30,6 +30,14 @@ class FormatError(MeshError):
     """Malformed or truncated mesh file."""
 
 
+def _utf8_lines(handle, path):
+    """The lines of a UTF-8 text ``handle``; undecodable bytes raise ``FormatError``."""
+    try:
+        yield from handle
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_obj(path, dim: int | None = None, return_groups: bool = False):
     """Parse an OBJ file into a mesh.
 
@@ -48,8 +56,9 @@ def read_obj(path, dim: int | None = None, return_groups: bool = False):
     active: list[str] = []  # distinct names over both, so a face is recorded once per name
     max_components = 0
 
-    with open(path, "r") as handle:
-        for lineno, line in enumerate(handle, start=1):
+    # utf-8-sig skips a leading byte-order mark, which would otherwise hide the first directive
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        for lineno, line in enumerate(_utf8_lines(handle, path), start=1):
             tokens = line.split()
             if not tokens or tokens[0].startswith("#"):
                 continue

@@ -64,7 +64,7 @@ def _normalize_selector(keep, n_elements: int) -> np.ndarray:
     sel = np.asarray(keep)
     if sel.dtype == bool:
         return flag_array(sel, n_elements, "element mask")
-    sel = index_array(sel, n_elements, "selector position").reshape(-1)
+    sel = index_array(sel, n_elements, "selector position", ndim=1)
     if sel.size > 1 and not np.all(sel[1:] > sel[:-1]):
         raise MeshError("selector positions must be strictly ascending and unique")
     mask = np.zeros(n_elements, dtype=bool)

@@ -183,6 +183,14 @@ def test_stats_huge_rmx_header_fails_closed(tmp_path, capsys):
     assert "header promises" in stderr and "Traceback" not in stderr
 
 
+def test_stats_undecodable_obj_fails_closed(tmp_path, capsys):
+    bad = tmp_path / "bad.obj"
+    bad.write_bytes(b"v 0 0\nv 1 0\nv 0 1\n# \xff\xfe\nf 1 2 3\n")
+    code, _, stderr = run(capsys, "stats", bad)
+    assert code == 1
+    assert "not UTF-8" in stderr and "Traceback" not in stderr
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 def test_stats_huge_rmx_header_from_fifo_fails_closed(tmp_path, capsys):
     fifo = tmp_path / "huge.rmx"

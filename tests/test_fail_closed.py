@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from remeshx import (FormatError, Mesh, MeshError, RandomMeshSpec, compact_vertices,
-                     compute_new_indices, compute_sort_permutation, fill_sequence,
-                     flag_first_occurrences, grid_quads, inclusive_scan, invert_permutation,
-                     key_value_sort, overwrite_unused, random_mesh, read_obj, run_bench, scatter,
-                     soups_equal, subset, write_obj)
+                     compute_new_indices, compute_sort_permutation, flag_first_occurrences,
+                     grid_quads, inclusive_scan, invert_permutation, overwrite_unused,
+                     random_mesh, read_obj, run_bench, soups_equal, subset, write_obj)
 from remeshx.primitives import bitwise_sort_order
 from conftest import WORKED_ELEMENTS, WORKED_VERTICES, vtx
 
@@ -39,12 +38,10 @@ CASES = [
                  id="invert_permutation-2d"),
     pytest.param(lambda p: invert_permutation(np.array([0.0, 1.0])), MeshError, "integers",
                  id="invert_permutation-float"),
-    pytest.param(lambda p: scatter(TWO_ROWS, np.array([-1, 0]), [True, True], 2),
-                 MeshError, "-1", id="scatter-negative-position"),
-    pytest.param(lambda p: scatter(TWO_ROWS, np.array([1.0, 0.0]), [True, True], 2),
-                 MeshError, "integers", id="scatter-float-positions"),
     pytest.param(lambda p: subset(WORKED, np.ones((4, 1), bool)), MeshError, "shape",
                  id="subset-2d-mask"),
+    pytest.param(lambda p: subset(grid_quads(2), [[0], [2]]), MeshError, "axes",
+                 id="subset-2d-positions"),
     pytest.param(lambda p: compact_vertices(SORTED, NODUP, NEW_IDX.astype(float), 2),
                  MeshError, "integers", id="compact_vertices-float-new_idx"),
     pytest.param(lambda p: compact_vertices(SORTED, NODUP, NEW_IDX[:2], 2), MeshError,
@@ -58,20 +55,9 @@ CASES = [
                  id="compute_new_indices-2d-flags"),
     pytest.param(lambda p: overwrite_unused(THREE_ROWS, np.ones((3, 1), bool), THREE_ROWS[0]),
                  MeshError, "shape", id="overwrite_unused-2d-flags"),
-    pytest.param(lambda p: scatter(THREE_ROWS, np.arange(3), np.ones((3, 1), bool), 1),
-                 MeshError, "shape", id="scatter-2d-mask"),
     pytest.param(lambda p: overwrite_unused(THREE_ROWS, np.array([0.5, 1, 2]), THREE_ROWS[0]),
                  MeshError, "bool", id="overwrite_unused-float-flags"),
-    # scalar arguments
-    pytest.param(lambda p: scatter(TWO_ROWS, np.arange(2), [False, False], -1),
-                 MeshError, "non-negative", id="scatter-negative-out_len"),
-    pytest.param(lambda p: key_value_sort(TWO_ROWS, np.int64(3)), MeshError, "shape",
-                 id="key_value_sort-0d-values"),
-    pytest.param(lambda p: scatter(np.float32(1), np.array([0]), [True], 1), MeshError, "axis",
-                 id="scatter-0d-values"),
     # vertex arrays
-    pytest.param(lambda p: key_value_sort(ROW, np.arange(3)), MeshError, "axes",
-                 id="key_value_sort-1d-keys"),
     pytest.param(lambda p: bitwise_sort_order(ROW), MeshError, "axes",
                  id="bitwise_sort_order-1d"),
     pytest.param(lambda p: compute_sort_permutation(ROW), MeshError, "axes",
@@ -84,23 +70,17 @@ CASES = [
                  MeshError, "replacement", id="overwrite_unused-replacement-shape"),
     pytest.param(lambda p: soups_equal(TWO_ROWS, TWO_ROWS), MeshError, "axes",
                  id="soups_equal-not-a-soup"),
-    # scans and sequences
-    pytest.param(lambda p: inclusive_scan(np.array([2**32], np.int64)), MeshError, "32-bit",
-                 id="inclusive_scan-total-too-large"),
-    pytest.param(lambda p: inclusive_scan([-1]), MeshError, "32-bit",
-                 id="inclusive_scan-negative-total"),
-    pytest.param(lambda p: inclusive_scan([-1, 1]), MeshError, "32-bit",
-                 id="inclusive_scan-negative-prefix"),
-    pytest.param(lambda p: inclusive_scan([0.5, 0.7]), MeshError, "bool or integers",
+    # scans and dimensions
+    pytest.param(lambda p: inclusive_scan(np.array([1, 0, 1])), MeshError, "bool",
+                 id="inclusive_scan-int-flags"),
+    pytest.param(lambda p: inclusive_scan(np.ones((2, 2), bool)), MeshError, "shape",
+                 id="inclusive_scan-2d-flags"),
+    pytest.param(lambda p: inclusive_scan([0.5, 0.7]), MeshError, "bool",
                  id="inclusive_scan-float-flags"),
-    pytest.param(lambda p: fill_sequence(-1), MeshError, "non-negative",
-                 id="fill_sequence-negative"),
-    pytest.param(lambda p: fill_sequence(2.5), MeshError, "integer", id="fill_sequence-fraction"),
     pytest.param(lambda p: Mesh.empty(dim=-1), MeshError, "dim", id="Mesh.empty-negative-dim"),
     pytest.param(lambda p: Mesh.empty(arity=-1), MeshError, "arity",
                  id="Mesh.empty-negative-arity"),
     # size arguments
-    pytest.param(lambda p: fill_sequence(True), MeshError, "integer", id="fill_sequence-bool"),
     pytest.param(lambda p: grid_quads(2.5), MeshError, "integer", id="grid_quads-fraction"),
     pytest.param(lambda p: Mesh.empty(dim=2.5), MeshError, "integer",
                  id="Mesh.empty-fractional-dim"),

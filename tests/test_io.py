@@ -75,6 +75,25 @@ def test_obj_errors(tmp_path):
             read_obj(path)
 
 
+@pytest.mark.parametrize("padding", [0, 100_000], ids=["first-chunk", "later-chunk"])
+def test_obj_undecodable_text_is_format_error(tmp_path, padding):
+    # the padding puts the bad bytes past the first block the text reader decodes
+    path = tmp_path / "bad.obj"
+    path.write_bytes(b"v 0 0\nv 1 0\nv 0 1\n" + b"# pad\n" * padding + b"# \xff\xfe\nf 1 2 3\n")
+    with pytest.raises(FormatError, match=f"{path.name}: not UTF-8"):
+        read_obj(path)
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
+def test_obj_reads_utf8_text(tmp_path, bom):
+    # a byte-order mark must not hide the first vertex line
+    path = tmp_path / "named.obj"
+    path.write_bytes(bom + "v 5 5\nv 1 0\nv 0 1\ng größe\nf 1 2 3\n".encode("utf-8"))
+    mesh, groups = read_obj(path, return_groups=True)
+    assert mesh.vertices.tolist() == [[5, 5], [1, 0], [0, 1]]
+    assert groups == {"größe": [0]}
+
+
 def test_obj_roundtrip_worked(tmp_path, worked_mesh):
     path = tmp_path / "worked.obj"
     write_obj(worked_mesh, path)

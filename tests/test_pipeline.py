@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from remeshx import (Mesh, MeshError, bitwise_equal, compact_vertices,
                      compute_new_indices, compute_sort_permutation, dereference,
                      flag_first_occurrences, grid_quads, invert_permutation, mark_used,
-                     overwrite_unused, reindex, scatter,
-                     soups_equal, vertex_bits)
+                     overwrite_unused, reindex, soups_equal, vertex_bits)
 from conftest import A, B, C, D, E, F, elems, vtx
 
 
@@ -141,7 +140,8 @@ def test_compact_mask_is_optional():
     nodup = flag_first_occurrences(sorted_vtx)
     new_idx, new_count = compute_new_indices(nodup)
     masked = compact_vertices(sorted_vtx, nodup, new_idx, new_count)
-    unmasked = scatter(sorted_vtx, new_idx, np.ones(len(sorted_vtx), bool), new_count)
+    unmasked = np.zeros((new_count, sorted_vtx.shape[1]), np.float32)
+    unmasked[new_idx] = sorted_vtx
     assert np.array_equal(masked, unmasked)
 
 
@@ -155,7 +155,9 @@ def test_compact_vertices_equals_scatter_to_scan_positions(rows):
     nodup = flag_first_occurrences(sorted_vtx)
     new_idx, new_count = compute_new_indices(nodup)
     compacted = compact_vertices(sorted_vtx, nodup, new_idx, new_count)
-    scattered = scatter(sorted_vtx, new_idx, nodup, new_count)
+    # the reference is the masked scatter, written as numpy fancy assignment
+    scattered = np.zeros((new_count, dim), np.float32)
+    scattered[new_idx[nodup]] = sorted_vtx[nodup]
     assert compacted.shape == scattered.shape == (new_count, dim)
     assert np.array_equal(vertex_bits(compacted), vertex_bits(scattered))
 
