@@ -73,6 +73,12 @@ CASES = [
     # scans and dimensions
     pytest.param(lambda p: inclusive_scan(np.array([1, 0, 1])), MeshError, "bool",
                  id="inclusive_scan-int-flags"),
+    pytest.param(lambda p: inclusive_scan(np.array([2**32], np.int64)), MeshError, "bool",
+                 id="inclusive_scan-total-too-large"),
+    pytest.param(lambda p: inclusive_scan([-1]), MeshError, "bool",
+                 id="inclusive_scan-negative-total"),
+    pytest.param(lambda p: inclusive_scan([-1, 1]), MeshError, "bool",
+                 id="inclusive_scan-negative-prefix"),
     pytest.param(lambda p: inclusive_scan(np.ones((2, 2), bool)), MeshError, "shape",
                  id="inclusive_scan-2d-flags"),
     pytest.param(lambda p: inclusive_scan([0.5, 0.7]), MeshError, "bool",
