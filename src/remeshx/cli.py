@@ -230,6 +230,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if hasattr(args, "output"):
+            _infer_format(args.output, args.format)  # refuse before reading any input
         return args.func(args)
     except (MeshError, OSError) as exc:
         print(f"remeshx: error: {exc}", file=sys.stderr)

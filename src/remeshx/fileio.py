@@ -8,7 +8,11 @@ writer refuses what the text cannot carry (see :func:`write_obj`).
 
 RMX1 layout (little-endian): magic ``RMX1``, u32 dim, u32 arity, u64 vertex
 count, u64 element count, vertices as dim x f32 each, elements as arity x u32
-each.  The binary round trip is bit-exact for every mesh.
+each.  The binary round trip is bit-exact for every mesh.  :func:`read_bin`
+checks the header against a regular file's size, then reads the payload
+straight into the vertex and element arrays of the mesh it returns, which
+are frozen in place.  From a pipe or device it reads in chunks up to the
+promised size and copies the buffer into the mesh.
 """
 from __future__ import annotations
 
@@ -181,19 +185,27 @@ def read_bin(path) -> Mesh:
         n_indices = arity * n_elements
         expected = 4 * (n_coords + n_indices)
         info = os.fstat(handle.fileno())
-        if stat.S_ISREG(info.st_mode):
+        regular = stat.S_ISREG(info.st_mode)
+        if regular:
             # check the header against the file before trusting it with an allocation
             if info.st_size - _RMX_HEADER.size < expected:
                 raise FormatError(f"{path}: header promises {expected} payload bytes, "
                                   f"file holds {info.st_size - _RMX_HEADER.size}")
-            payload = handle.read(expected + 1)
+            # read straight into the mesh's own arrays, so the payload is copied once
+            vertices = np.empty((n_vertices, dim), "<f4")
+            elements = np.empty((n_elements, arity), "<u4")
+            got = handle.readinto(vertices) + handle.readinto(elements)
+            trailing = bool(handle.read(1))
         else:
             # a pipe or device has no size to check, so grow the buffer only as data arrives
             payload = _read_upto(handle, expected + 1)
-        if len(payload) < expected:
+            got, trailing = len(payload), len(payload) > expected
+        if got < expected:
             raise FormatError(f"{path}: truncated payload")
-        if len(payload) > expected:
+        if trailing:
             raise FormatError(f"{path}: trailing bytes after payload")
+    if regular:
+        return Mesh._adopt(vertices, elements)
     vertices = np.frombuffer(payload, "<f4", n_coords)
     elements = np.frombuffer(payload, "<u4", n_indices, offset=4 * n_coords)
     return Mesh(vertices.reshape(n_vertices, dim), elements.reshape(n_elements, arity))

@@ -3,12 +3,14 @@
 A mesh is a vertex array of shape ``(n, dim)`` (float32) plus an element
 array of shape ``(m, arity)`` (uint32) indexing into it.  A :class:`Mesh` is
 valid once built: construction rejects any element index ``>= n`` with an
-:class:`InvalidMeshError` listing every bad slot.  Vertices are
-compared on their raw bit patterns, lexicographically by component: this is
-a strict total order (unlike numeric float comparison under NaN), it keeps
-``-0.0`` and ``+0.0`` distinct, and it treats identical NaN payloads as
-duplicates.  A "soup" is the dereferenced form: an ``(m, arity, dim)``
-float32 array carrying every element's vertices by value.
+:class:`InvalidMeshError` listing every bad slot.  Caller arrays are copied;
+arrays the package has just made (read from an RMX1 file, or returned by
+``reindex``) are frozen in place.  Vertices are compared on their raw bit
+patterns, lexicographically by component: this is a strict total order
+(unlike numeric float comparison under NaN), it keeps ``-0.0`` and ``+0.0``
+distinct, and it treats identical NaN payloads as duplicates.  A "soup" is
+the dereferenced form: an ``(m, arity, dim)`` float32 array carrying every
+element's vertices by value.
 """
 from __future__ import annotations
 
@@ -92,15 +94,20 @@ class Issue:
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Immutable indexed mesh, valid once built: arrays copied and frozen, indices < n_vertices."""
+    """Immutable indexed mesh, valid once built, with indices < n_vertices.
+
+    Caller arrays are copied; arrays the package has just made are frozen in place.
+    """
 
     vertices: np.ndarray
     elements: np.ndarray
 
-    def __post_init__(self):
-        vertices = np.array(vertex_rows(self.vertices, "vertices"), order="C")
-        elements = np.array(index_array(self.elements, MAX_VERTICES, "element index", ndim=2),
-                            dtype=np.uint32, order="C")
+    def __post_init__(self, fresh: bool = False):
+        # np.asarray converts only where dtype or layout differ, so a fresh array is kept as is
+        own = np.asarray if fresh else np.array
+        vertices = own(vertex_rows(self.vertices, "vertices"), order="C")
+        elements = own(index_array(self.elements, MAX_VERTICES, "element index", ndim=2),
+                       dtype=np.uint32, order="C")
         if elements.shape[1] < 1:
             raise MeshError(f"elements must be (m, arity) with arity >= 1, got {elements.shape}")
         if len(vertices) >= MAX_VERTICES:
@@ -112,6 +119,19 @@ class Mesh:
         elements.flags.writeable = False
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "elements", elements)
+
+    @classmethod
+    def _adopt(cls, vertices: np.ndarray, elements: np.ndarray) -> "Mesh":
+        """Build over arrays the package has just made and keeps no other reference to.
+
+        Every gate and the index range check run as in ``Mesh(...)``; only the copy is
+        skipped.  A frozen caller array is no candidate: it may still have a writeable view.
+        """
+        mesh = object.__new__(cls)
+        object.__setattr__(mesh, "vertices", vertices)
+        object.__setattr__(mesh, "elements", elements)
+        mesh.__post_init__(fresh=True)
+        return mesh
 
     @classmethod
     def empty(cls, dim: int = 2, arity: int = 3) -> "Mesh":

@@ -158,4 +158,5 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
     table = np.empty(mesh.n_vertices, np.uint32)
     table[org_id] = new_idx
     scratch = ReindexScratch(is_used, org_id, nodup, new_idx, new_count)
-    return Mesh(new_vtx, table[mesh.elements]), scratch
+    # both arrays are fresh and referenced nowhere else, so the mesh adopts them uncopied
+    return Mesh._adopt(new_vtx, table[mesh.elements]), scratch

@@ -135,6 +135,24 @@ def test_reindex_twice_writes_identical_bytes(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_reindex_over_its_own_input_writes_the_same_bytes(tmp_path, capsys):
+    # the input is read in full before the output is opened
+    grid, out, same = tmp_path / "g.rmx", tmp_path / "o.rmx", tmp_path / "same.rmx"
+    assert run(capsys, "gen", "--n", 8, grid)[0] == 0
+    same.write_bytes(grid.read_bytes())
+    assert run(capsys, "reindex", grid, out)[0] == 0
+    assert run(capsys, "reindex", same, same)[0] == 0
+    assert same.read_bytes() == out.read_bytes() != grid.read_bytes()
+
+
+@pytest.mark.parametrize("command", [["reindex"], ["merge"], ["soup"], ["subset", "--keep", "0"]])
+def test_unknown_output_format_fails_before_reading_input(tmp_path, capsys, command):
+    code, _, stderr = run(capsys, *command, tmp_path / "missing.rmx", tmp_path / "out.txt")
+    assert code == 1
+    assert "out.txt: cannot infer format" in stderr
+    assert "missing.rmx" not in stderr
+
+
 def test_threads_flag_is_gone(tmp_path, capsys):
     grid = tmp_path / "g.rmx"
     assert run(capsys, "gen", "--n", 2, grid)[0] == 0

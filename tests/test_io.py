@@ -1,6 +1,7 @@
 import os
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -150,6 +151,31 @@ def test_bin_preserves_nan_bits(tmp_path):
     path = tmp_path / "nan.rmx"
     write_bin(mesh, path)
     assert bitwise_equal(read_bin(path), mesh)
+
+
+def test_bin_trailing_byte_in_regular_file(tmp_path):
+    good = tmp_path / "good.rmx"
+    write_bin(Mesh(vtx(A, B, C), elems((0, 1, 2))), good)
+    bad = tmp_path / "long.rmx"
+    bad.write_bytes(good.read_bytes() + b"\0")
+    with pytest.raises(FormatError, match="trailing"):
+        read_bin(bad)
+
+
+def test_bin_file_shorter_than_its_size_is_truncated_payload(tmp_path, monkeypatch):
+    # a file cut between the size check and the read: the reader must not trust np.empty
+    path = tmp_path / "shrunk.rmx"
+    write_bin(Mesh(vtx(A, B, C), elems((0, 1, 2))), path)
+    path.write_bytes(path.read_bytes()[:-3])
+    real_fstat = os.fstat
+
+    def stale_fstat(fd):
+        info = real_fstat(fd)
+        return SimpleNamespace(st_mode=info.st_mode, st_size=info.st_size + 3)
+
+    monkeypatch.setattr("remeshx.fileio.os.fstat", stale_fstat)
+    with pytest.raises(FormatError, match="truncated payload"):
+        read_bin(path)
 
 
 @pytest.mark.parametrize("n_vertices,n_elements", [(2**62, 1), (1, 2**62), (2**64 - 1, 2**64 - 1)])

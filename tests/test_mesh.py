@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import remeshx
-from remeshx import InvalidMeshError, Issue, Mesh, MeshError, dereference, vertex_bits
+from remeshx import (InvalidMeshError, Issue, Mesh, MeshError, dereference, read_bin, reindex,
+                     vertex_bits, write_bin)
 from conftest import A, B, C, D, E, F, elems, vtx
 
 
@@ -59,6 +62,63 @@ def test_mesh_arrays_are_frozen_copies():
     assert mesh.vertices[0, 0] == 1
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 5
+
+
+def _frozen_with_live_view(array):
+    view = array[...]
+    array.flags.writeable = False
+    assert view.flags.writeable
+    return array, view
+
+
+# each maker returns (array passed to Mesh, array or view written through afterwards)
+CALLER_ARRAYS = {
+    "writeable": lambda a: (a, a),
+    "frozen-with-live-view": _frozen_with_live_view,
+    "fortran-order": lambda a: (np.asfortranarray(a),) * 2,
+    "float64": lambda a: (a.astype(np.float64 if a.dtype.kind == "f" else np.int64),) * 2,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CALLER_ARRAYS))
+def test_mesh_copies_every_kind_of_caller_array(kind):
+    vertices, vertex_handle = CALLER_ARRAYS[kind](vtx((1, 2), (3, 4), (5, 6)))
+    elements, element_handle = CALLER_ARRAYS[kind](elems((0, 1, 2), (2, 1, 0)))
+    mesh = Mesh(vertices, elements)
+    vertex_handle[...] = 99
+    element_handle[...] = 7
+    assert mesh.vertices.tolist() == [[1, 2], [3, 4], [5, 6]]
+    assert mesh.elements.tolist() == [[0, 1, 2], [2, 1, 0]]
+    for own, caller in ((mesh.vertices, vertices), (mesh.elements, elements)):
+        assert not own.flags.writeable and own.flags.c_contiguous
+        assert not np.shares_memory(own, caller)
+
+
+def test_package_made_arrays_are_frozen_and_unshared(tmp_path, worked_mesh):
+    path = tmp_path / "worked.rmx"
+    write_bin(worked_mesh, path)
+    read = read_bin(path)
+    out, scratch = reindex(read)
+    scratch_arrays = [getattr(scratch, f.name) for f in fields(scratch)
+                      if isinstance(getattr(scratch, f.name), np.ndarray)]
+    assert len(scratch_arrays) == 4
+    for mesh, others in ((read, [worked_mesh.vertices, worked_mesh.elements]),
+                         (out, [read.vertices, read.elements, *scratch_arrays])):
+        for own in (mesh.vertices, mesh.elements):
+            assert not own.flags.writeable
+            assert not any(np.shares_memory(own, other) for other in others)
+    assert not np.shares_memory(out.vertices, out.elements)
+
+
+def test_adopted_arrays_pass_every_gate():
+    with pytest.raises(InvalidMeshError) as err:
+        Mesh._adopt(vtx((0, 0)), elems((0, 0, 1)))
+    assert err.value.issues == [Issue(0, 2, 1)]
+    with pytest.raises(MeshError, match="integers"):
+        Mesh._adopt(vtx((0, 0)), np.zeros((1, 3), np.float32))
+    mesh = Mesh._adopt(np.zeros((2, 2)), np.array([[0, 1, 1]], np.int64))
+    assert mesh.vertices.dtype == np.float32 and mesh.elements.dtype == np.uint32
+    assert not mesh.vertices.flags.writeable and not mesh.elements.flags.writeable
 
 
 def test_bitwise_identity_negative_zero():
