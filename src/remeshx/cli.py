@@ -13,7 +13,7 @@ from . import bench as bench_mod
 from . import fileio
 from .mesh import InvalidMeshError, Mesh, MeshError
 from .ops import merge, soup_to_mesh, subset
-from .pipeline import compute_sort_permutation, flag_first_occurrences, mark_used, reindex
+from .pipeline import reindex
 
 _FORMATS = {"obj", "bin"}
 
@@ -159,11 +159,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stats(args) -> int:
     mesh = _load(args.input, args)
-    unique = int(flag_first_occurrences(compute_sort_permutation(mesh.vertices)[0]).sum())
-    unused = mesh.n_vertices - int(mark_used(mesh).sum())
+    # reindex's own counts, so that vertices = unused + duplicates + what reindex keeps
+    scratch = reindex(mesh)[1]
+    unused = mesh.n_vertices - int(np.count_nonzero(scratch.is_used))
     print(f"vertices:  {mesh.n_vertices} (dim {mesh.dim})")
     print(f"elements:  {mesh.n_elements} (arity {mesh.arity})")
-    print(f"duplicate vertices: {mesh.n_vertices - unique}")
+    print(f"duplicate vertices: {mesh.n_vertices - unused - scratch.new_count}")
     print(f"unused vertices:    {unused}")
     return 0
 

@@ -5,7 +5,8 @@ array of shape ``(m, arity)`` (uint32) indexing into it.  A :class:`Mesh` is
 valid once built: construction rejects any element index ``>= n`` with an
 :class:`InvalidMeshError` listing every bad slot.  Caller arrays are copied;
 arrays the package has just made (read from an RMX1 file, or returned by
-``reindex``) are frozen in place.  Vertices are compared on their raw bit
+``reindex``) are frozen in place, as are those of the temporary mesh an op
+re-indexes and never returns.  Vertices are compared on their raw bit
 patterns, lexicographically by component: this is a strict total order
 (unlike numeric float comparison under NaN), it keeps ``-0.0`` and ``+0.0``
 distinct, and it treats identical NaN payloads as duplicates.  A "soup" is
@@ -96,7 +97,8 @@ class Issue:
 class Mesh:
     """Immutable indexed mesh, valid once built, with indices < n_vertices.
 
-    Caller arrays are copied; arrays the package has just made are frozen in place.
+    Caller arrays are copied; ``_adopt`` freezes arrays in place instead.  Either way
+    the mesh holds views of a frozen owner, so ``flags.writeable = True`` raises.
     """
 
     vertices: np.ndarray
@@ -115,17 +117,18 @@ class Mesh:
         if elements.size and int(elements.max()) >= len(vertices):
             raise InvalidMeshError(Issue(int(e), int(s), int(elements[e, s]))
                                    for e, s in np.argwhere(elements >= len(vertices)))
-        vertices.flags.writeable = False
-        elements.flags.writeable = False
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "elements", elements)
+        # freeze each owner and keep a view of it: numpy refuses to make that view writeable
+        for name, array in (("vertices", vertices), ("elements", elements)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array.view())
 
     @classmethod
     def _adopt(cls, vertices: np.ndarray, elements: np.ndarray) -> "Mesh":
-        """Build over arrays the package has just made and keeps no other reference to.
-
-        Every gate and the index range check run as in ``Mesh(...)``; only the copy is
-        skipped.  A frozen caller array is no candidate: it may still have a writeable view.
+        """Build over arrays without copying them: arrays the package has just made and
+        keeps no other reference to, or a temporary mesh that never leaves its op (it
+        may view, but never writes, a caller's array).  Every gate and the index range
+        check run as in ``Mesh(...)``.  A frozen caller array is no candidate for a
+        returned mesh: it may still have a writeable view.
         """
         mesh = object.__new__(cls)
         object.__setattr__(mesh, "vertices", vertices)

@@ -32,7 +32,7 @@ def merge(meshes: list[Mesh]) -> Mesh:
         shifted.append(m.elements + np.uint32(offset))
         offset += m.n_vertices
     elements = np.vstack(shifted)
-    return reindex(Mesh(vertices, elements))[0]
+    return reindex(Mesh._adopt(vertices, elements))[0]
 
 
 def soup_to_mesh(soup: np.ndarray) -> Mesh:
@@ -46,18 +46,19 @@ def soup_to_mesh(soup: np.ndarray) -> Mesh:
     m, arity, dim = arr.shape
     vertices = arr.reshape(m * arity, dim)
     elements = np.arange(m * arity, dtype=np.uint32).reshape(m, arity)
-    return reindex(Mesh(vertices, elements))[0]
+    # the dummy mesh never leaves this call, so it reads the soup's rows in place
+    return reindex(Mesh._adopt(vertices, elements))[0]
 
 
 def subset(mesh: Mesh, keep) -> Mesh:
     """Compact mesh of the selected elements only.
 
     ``keep`` is either a boolean mask (one entry per element) or a strictly
-    ascending list of element positions.  The full vertex array is copied,
-    unselected elements dropped, and re-indexing removes what is now unused.
+    ascending list of element positions.  The selected elements share the
+    source's read-only vertex array, and re-indexing removes what is now unused.
     """
     mask = _normalize_selector(keep, mesh.n_elements)
-    return reindex(Mesh(mesh.vertices, mesh.elements[mask]))[0]
+    return reindex(Mesh._adopt(mesh.vertices, mesh.elements[mask]))[0]
 
 
 def _normalize_selector(keep, n_elements: int) -> np.ndarray:

@@ -23,6 +23,8 @@ from .mesh import (MAX_VERTICES, Mesh, MeshError, flag_array, index_array, size_
                    vertex_bits, vertex_rows)
 from .primitives import bitwise_sort_order, inclusive_scan
 
+_GATHER_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class ReindexScratch:
@@ -71,7 +73,13 @@ def compute_sort_permutation(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Stable bitwise sort; returns (sorted vertices, origin of each sorted slot)."""
     vertices = vertex_rows(vertices, "vertices")
     org_id = bitwise_sort_order(vertices)
-    return np.take(vertices, org_id, axis=0), org_id
+    # gather in blocks, so numpy's intp copy of the indices is one block, not n rows
+    sorted_vtx = np.empty(vertices.shape, np.float32)
+    for start in range(0, len(org_id), _GATHER_BLOCK):
+        block = slice(start, start + _GATHER_BLOCK)
+        # org_id is a permutation, so "clip" never clips; it skips numpy's buffered out copy
+        np.take(vertices, org_id[block], axis=0, out=sorted_vtx[block], mode="clip")
+    return sorted_vtx, org_id
 
 
 def flag_first_occurrences(sorted_vtx: np.ndarray) -> np.ndarray:
@@ -147,9 +155,10 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
         scratch = ReindexScratch(is_used, empty_u32, empty_bool, empty_u32, 0)
         return Mesh.empty(dim=mesh.dim, arity=mesh.arity), scratch
 
+    # with every vertex used the overwrite changes nothing, so the sort reads the rows uncopied
     replacement = mesh.vertices[int(mesh.elements[0, 0])]
     sorted_vtx, org_id = compute_sort_permutation(
-        overwrite_unused(mesh.vertices, is_used, replacement))
+        mesh.vertices if is_used.all() else overwrite_unused(mesh.vertices, is_used, replacement))
     nodup = flag_first_occurrences(sorted_vtx)
     new_idx, new_count = compute_new_indices(nodup)
     new_vtx = compact_vertices(sorted_vtx, nodup, new_idx, new_count)

@@ -35,8 +35,9 @@ def bitwise_sort_order(keys: np.ndarray) -> np.ndarray:
                       dtype=np.uint64)
         word |= np.arange(n, dtype=np.uint32)
         word.sort()
-        rank = word.astype(np.uint32)
-        order = rank if order is None else order[rank]
+        # the ranks overwrite the words, so a pass holds the words and two orders at most
+        np.bitwise_and(word, 0xFFFFFFFF, out=word)
+        order = word.astype(np.uint32) if order is None else order[word]
     return order
 
 

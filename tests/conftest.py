@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,3 +46,17 @@ def feed_fifo(path, data: bytes) -> threading.Thread:
     thread = threading.Thread(target=write, daemon=True)
     thread.start()
     return thread
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes that ``fn(*args)`` allocates at its peak, as tracemalloc sees them."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()

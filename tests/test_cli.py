@@ -233,6 +233,19 @@ def test_stats_counts_duplicates_on_bit_patterns(tmp_path, capsys):
     assert "unused vertices:    0" in stdout
 
 
+def test_stats_counts_match_what_reindex_removes(tmp_path, capsys):
+    # vertex 3 is unused and copies vertex 0: it is unused, not also a duplicate
+    path, out = tmp_path / "m.rmx", tmp_path / "out.rmx"
+    write_bin(Mesh(vtx((0, 0), (1, 0), (0, 1), (0, 0)), elems((0, 1, 2))), path)
+    code, stdout, _ = run(capsys, "stats", path)
+    assert code == 0
+    assert "vertices:  4" in stdout
+    assert "duplicate vertices: 0" in stdout
+    assert "unused vertices:    1" in stdout
+    assert run(capsys, "reindex", path, out)[0] == 0
+    assert read_bin(out).n_vertices == 4 - 1 - 0
+
+
 def test_keep_parses_to_merged_ranges():
     assert _parse_ranges("7,0-3,2-5,9") == [(0, 5), (7, 7), (9, 9)]
     assert _parse_ranges("4-6,0-1,2-3") == [(0, 6)]

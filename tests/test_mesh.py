@@ -1,12 +1,13 @@
+import os
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import remeshx
-from remeshx import (InvalidMeshError, Issue, Mesh, MeshError, dereference, read_bin, reindex,
-                     vertex_bits, write_bin)
-from conftest import A, B, C, D, E, F, elems, vtx
+from remeshx import (InvalidMeshError, Issue, Mesh, MeshError, bitwise_equal, dereference,
+                     read_bin, reindex, vertex_bits, write_bin)
+from conftest import A, B, C, D, E, F, elems, feed_fifo, vtx
 
 
 def test_validate_empty_mesh():
@@ -108,6 +109,46 @@ def test_package_made_arrays_are_frozen_and_unshared(tmp_path, worked_mesh):
             assert not own.flags.writeable
             assert not any(np.shares_memory(own, other) for other in others)
     assert not np.shares_memory(out.vertices, out.elements)
+
+
+def _read_bin_from_fifo(mesh, tmp_path):
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("needs os.mkfifo")
+    path, fifo = tmp_path / "m.rmx", tmp_path / "m.fifo"
+    write_bin(mesh, path)
+    os.mkfifo(fifo)
+    writer = feed_fifo(fifo, path.read_bytes())
+    read = read_bin(fifo)
+    writer.join(timeout=10)
+    return read
+
+
+def _read_bin_from_file(mesh, tmp_path):
+    write_bin(mesh, tmp_path / "m.rmx")
+    return read_bin(tmp_path / "m.rmx")
+
+
+MESH_SOURCES = {
+    "constructed": lambda mesh, tmp_path: Mesh(mesh.vertices.copy(), mesh.elements.copy()),
+    "adopted": lambda mesh, tmp_path: Mesh._adopt(mesh.vertices.copy(), mesh.elements.copy()),
+    "read_bin": _read_bin_from_file,
+    "read_bin_fifo": _read_bin_from_fifo,
+    "reindexed": lambda mesh, tmp_path: reindex(mesh)[0],
+}
+
+
+@pytest.mark.parametrize("source", sorted(MESH_SOURCES))
+def test_mesh_arrays_cannot_be_made_writeable(source, tmp_path, worked_mesh):
+    mesh = MESH_SOURCES[source](worked_mesh, tmp_path)
+    expected = reindex(mesh)[0]
+    # an array a caller could unfreeze would take an out-of-range index, which reindex
+    # then meets as a bare IndexError
+    for array in (mesh.vertices, mesh.elements):
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+        with pytest.raises(ValueError):
+            array[0, 0] = 7
+    assert bitwise_equal(reindex(mesh)[0], expected)
 
 
 def test_adopted_arrays_pass_every_gate():

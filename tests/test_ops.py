@@ -4,7 +4,7 @@ import pytest
 from remeshx import (Mesh, MeshError, RandomMeshSpec, bitwise_equal,
                      dereference, merge, random_mesh, reindex, soup_to_mesh,
                      soups_equal, subset)
-from conftest import A, B, C, D, elems, vtx
+from conftest import A, B, C, D, elems, traced_peak, vtx
 
 
 def quad(x0, y0):
@@ -109,3 +109,33 @@ def test_subset_soup_law():
         keep = [e for e in range(mesh.n_elements) if (e + seed) % 3]
         out = subset(mesh, keep)
         assert soups_equal(dereference(out), dereference(mesh)[keep])
+
+
+def test_soup_to_mesh_allocates_no_copy_of_the_soup():
+    # every soup vertex is used; the pipeline's own arrays (sort words and order, sorted
+    # rows, flags, table) peak near 2.1x the soup, and one more copy would pass 3.1x
+    soup = np.random.default_rng(11).integers(0, 4, size=(1 << 16, 4, 4)).astype(np.float32)
+    peak = traced_peak(soup_to_mesh, soup)
+    assert peak <= 2.5 * soup.nbytes, f"peak {peak / soup.nbytes:.2f}x the soup"
+
+
+def test_soup_to_mesh_leaves_the_callers_soup_writeable_and_unchanged():
+    soup = np.random.default_rng(12).integers(0, 3, size=(50, 3, 2)).astype(np.float32)
+    soup[0, 0, 0] = -0.0
+    before = soup.copy()
+    rebuilt = soup_to_mesh(soup)
+    assert soup.flags.writeable and np.array_equal(soup.view(np.uint32), before.view(np.uint32))
+    soup[...] = 9  # the result shares nothing with the soup
+    assert soups_equal(dereference(rebuilt), before)
+
+
+def test_subset_leaves_the_source_unchanged_and_read_only(worked_mesh):
+    vertices, elements = worked_mesh.vertices.copy(), worked_mesh.elements.copy()
+    out = subset(worked_mesh, [0, 3])
+    assert np.array_equal(worked_mesh.vertices.view(np.uint32), vertices.view(np.uint32))
+    assert np.array_equal(worked_mesh.elements, elements)
+    for array in (worked_mesh.vertices, worked_mesh.elements):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+    assert not np.shares_memory(out.vertices, worked_mesh.vertices)

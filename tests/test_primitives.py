@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from remeshx import MeshError, inclusive_scan, vertex_bits
 from remeshx.primitives import bitwise_sort_order
-from conftest import A, B, C, D, vtx
+from conftest import A, B, C, D, traced_peak, vtx
 
 
 # bit patterns whose order as unsigned ints differs from float order: +0.0 and
@@ -94,3 +94,12 @@ def test_inclusive_scan_rejects_flags_beyond_32_bit_range(monkeypatch):
     assert inclusive_scan(np.ones(3, bool)).tolist() == [1, 2, 3]
     with pytest.raises(MeshError, match="32-bit"):
         inclusive_scan(np.ones(4, bool))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_sort_holds_at_most_sixteen_bytes_per_row(dim):
+    # a pass holds the uint64 words and two uint32 orders; the ranks are read in place
+    n = 1 << 18
+    keys = np.random.default_rng(dim).integers(0, 256, size=(n, dim)).astype(np.float32)
+    peak = traced_peak(bitwise_sort_order, keys)
+    assert peak <= 16 * n + (1 << 17), f"{peak / n:.2f} bytes per row"
