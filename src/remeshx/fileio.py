@@ -2,9 +2,9 @@
 
 OBJ is read permissively (v/f plus ignorable directives); group and material
 directives are collected as element annotations for subset selection but do
-not affect geometry.  The writer emits the shortest decimal that
-round-trips each float32, so ``read_obj(write_obj(m))`` is bit-exact; the
-writer refuses what the text cannot carry (see :func:`write_obj`).
+not affect geometry.  The writer prints nine significant digits, within half a
+float32 ulp, so ``read_obj(write_obj(m))`` is bit-exact; the writer refuses
+what the text cannot carry (see :func:`write_obj`).
 
 RMX1 layout (little-endian): magic ``RMX1``, u32 dim, u32 arity, u64 vertex
 count, u64 element count, vertices as dim x f32 each, elements as arity x u32
@@ -27,6 +27,7 @@ from .mesh import MAX_VERTICES, Mesh, MeshError, size_value, vertex_bits
 _RMX_MAGIC = b"RMX1"
 _RMX_HEADER = struct.Struct("<4sIIQQ")
 _STREAM_CHUNK = 1 << 20
+_OBJ_BLOCK = 1 << 16  # rows formatted by one % and written by one call
 _OBJ_NAN_BITS = 0x7FC00000  # the float32 that read_obj makes of the text "nan"
 
 
@@ -49,10 +50,11 @@ def read_obj(path, dim: int | None = None, return_groups: bool = False):
     component, else 3.  ``dim=2`` truncates (drops z), ``dim=3`` pads missing
     z with 0.  With ``return_groups`` also returns a dict mapping each
     group/material name to the list of element positions it covers.
+    A finite coordinate beyond the float32 range raises ``FormatError``.
     """
     if dim is not None and size_value(dim, "OBJ dim") not in (2, 3):
         raise FormatError(f"dim must be 2 or 3, got {dim}")
-    coords: list[list[float]] = []
+    coords: list[list[float]] = []  # x, y, z; a 2-D row gets z = 0
     faces: list[list[int]] = []
     groups: dict[str, list[int]] = {}
     active_groups: list[str] = []
@@ -71,11 +73,10 @@ def read_obj(path, dim: int | None = None, return_groups: bool = False):
                 if not 2 <= len(tokens) - 1 <= 4:
                     raise FormatError(f"{path}:{lineno}: vertex needs 2-4 coordinates")
                 try:
-                    row = [float(t) for t in tokens[1:4]]
+                    coords.append([float(t) for t in tokens[1:4]] + [0.0] * (4 - len(tokens)))
                 except ValueError:
                     raise FormatError(f"{path}:{lineno}: bad coordinate") from None
-                max_components = max(max_components, len(row))
-                coords.append(row)
+                max_components = max(max_components, len(tokens) - 1)
             elif kind == "f":
                 if len(tokens) - 1 < 3:
                     raise FormatError(f"{path}:{lineno}: face needs at least 3 indices")
@@ -87,13 +88,10 @@ def read_obj(path, dim: int | None = None, return_groups: bool = False):
                     raise FormatError(f"{path}:{lineno}: bad face index") from None
                 face = []
                 for value in raw:
-                    if value > 0:
-                        index = value - 1
-                    elif value < 0:
-                        index = len(coords) + value
-                    else:
-                        raise FormatError(f"{path}:{lineno}: OBJ indices are 1-based, got 0")
+                    index = value - 1 if value > 0 else len(coords) + value  # 0 is out of range
                     if not 0 <= index < len(coords):
+                        if not value:
+                            raise FormatError(f"{path}:{lineno}: OBJ indices are 1-based, got 0")
                         raise FormatError(f"{path}:{lineno}: index {value} out of range")
                     face.append(index)
                 if faces and len(face) != len(faces[0]):
@@ -116,23 +114,20 @@ def read_obj(path, dim: int | None = None, return_groups: bool = False):
 
     if dim is None:
         dim = 2 if max_components <= 2 else 3
-    vertices = np.zeros((len(coords), dim), dtype=np.float32)
-    for i, row in enumerate(coords):
-        vertices[i, :min(dim, len(row))] = row[:dim]
-    arity = len(faces[0]) if faces else 3
-    elements = np.array(faces, dtype=np.uint32).reshape(len(faces), arity)
-    mesh = Mesh(vertices, elements)
+    wide = np.array(coords, dtype=np.float64).reshape(len(coords), 3)[:, :dim]
+    with np.errstate(over="ignore"):  # a finite coordinate that became inf is refused below
+        vertices = wide.astype(np.float32)
+    beyond = np.flatnonzero((np.isinf(vertices) & np.isfinite(wide)).any(axis=1))
+    if len(beyond):
+        raise FormatError(f"{path}: vertex {beyond[0] + 1} has a coordinate beyond float32")
+    # np.array of the face rows owns its data, so the mesh can freeze it (a reshape would not)
+    elements = np.array(faces if faces else np.empty((0, 3)), dtype=np.uint32)
+    mesh = Mesh._adopt(vertices, elements)
     return (mesh, groups) if return_groups else mesh
 
 
-def _shortest(value: np.float32) -> str:
-    if not np.isfinite(value):
-        return repr(float(value))
-    return np.format_float_positional(value, unique=True, trim="0")
-
-
 def write_obj(mesh: Mesh, path) -> None:
-    """Write v then f lines (1-based indices), shortest round-trippable decimals.
+    """Write v then f lines (1-based indices), coordinates as ``%.9g``.
 
     Refuses, before opening ``path``, the meshes :func:`read_obj` would read
     back differently: dim other than 2 or 3, arity other than 3 or 4, dim 3
@@ -151,11 +146,15 @@ def write_obj(mesh: Mesh, path) -> None:
         vertex, component = (int(i) for i in np.argwhere(lossy)[0])
         raise FormatError(f"vertex {vertex} component {component} is a NaN with sign or "
                           "payload bits, which OBJ's 'nan' cannot carry")
+    vertex_line = "v" + " %.9g" * mesh.dim + "\n"  # nine digits err by under half a float32 ulp
+    face_line = "f" + " %d" * mesh.arity + "\n"
     with open(path, "w") as handle:
-        for row in mesh.vertices:
-            handle.write("v " + " ".join(_shortest(c) for c in row) + "\n")
-        for element in mesh.elements:
-            handle.write("f " + " ".join(str(int(i) + 1) for i in element) + "\n")
+        for start in range(0, mesh.n_vertices, _OBJ_BLOCK):
+            block = mesh.vertices[start:start + _OBJ_BLOCK]
+            handle.write(vertex_line * len(block) % tuple(block.ravel().tolist()))
+        for start in range(0, mesh.n_elements, _OBJ_BLOCK):
+            block = mesh.elements[start:start + _OBJ_BLOCK] + 1  # OBJ indices are 1-based
+            handle.write(face_line * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_bin(mesh: Mesh, path) -> None:

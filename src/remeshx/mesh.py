@@ -4,7 +4,7 @@ A mesh is a vertex array of shape ``(n, dim)`` (float32) plus an element
 array of shape ``(m, arity)`` (uint32) indexing into it.  A :class:`Mesh` is
 valid once built: construction rejects any element index ``>= n`` with an
 :class:`InvalidMeshError` listing every bad slot.  Caller arrays are copied;
-arrays the package has just made (read from an RMX1 file, or returned by
+arrays the package has just made (read from a file, or returned by
 ``reindex``) are frozen in place, as are those of the temporary mesh an op
 re-indexes and never returns.  Vertices are compared on their raw bit
 patterns, lexicographically by component: this is a strict total order

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -274,3 +275,15 @@ def test_format_override_and_quiet(tmp_path, capsys):
     # output format falls back to the flag too, so write also goes through OBJ
     assert code == 0
     assert stdout == ""
+
+
+def test_obj_coordinate_beyond_float32_fails_closed(tmp_path, capsys):
+    src, out = tmp_path / "big.obj", tmp_path / "out.obj"
+    src.write_text("v 0 0\nv 1e39 0\nv 0 1\nf 1 2 3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, stderr = run(capsys, "reindex", src, out)
+    assert code == 1
+    assert "vertex 2" in stderr and "float32" in stderr
+    assert not caught and "Warning" not in stderr
+    assert not out.exists()

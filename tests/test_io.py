@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from remeshx import (FormatError, Mesh, bitwise_equal, equivalent, grid_quads, read_bin,
                      read_obj, vertex_bits, write_bin, write_obj)
-from remeshx.fileio import _RMX_HEADER, _RMX_MAGIC
+from remeshx.fileio import _OBJ_BLOCK, _RMX_HEADER, _RMX_MAGIC
 from conftest import A, B, C, elems, feed_fifo, vtx
 
 needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
@@ -108,6 +108,73 @@ def test_obj_roundtrip_awkward_floats(tmp_path):
     path = tmp_path / "awkward.obj"
     write_obj(mesh, path)
     assert bitwise_equal(read_obj(path, dim=2), mesh)
+
+
+def _floats(*bits):
+    return np.array(bits, np.uint32).view(np.float32)
+
+
+# -0, 0.1, the smallest subnormal, the largest finite float32, inf and nan in each mesh
+@pytest.mark.parametrize("mesh,text", [
+    (Mesh(_floats(0x80000000, 0x3DCCCCCD, 0x00000001, 0x7F7FFFFF, 0x7F800000,
+                  0x7FC00000).reshape(3, 2), elems((0, 1, 2))),
+     "v -0 0.100000001\nv 1.40129846e-45 3.40282347e+38\nv inf nan\nf 1 2 3\n"),
+    (Mesh(_floats(0xFF800000, 0x80000000, 0x3DCCCCCD, 0x00000001, 0xFF7FFFFF, 0x3F800000,
+                  0x7FC00000, 0x40490FDB, 0x00000000, 0x807FFFFF, 0x7F800000,
+                  0xC2F6E979).reshape(4, 3), elems((0, 1, 2, 3), (3, 2, 1, 0))),
+     "v -inf -0 0.100000001\nv 1.40129846e-45 -3.40282347e+38 1\n"
+     "v nan 3.14159274 0\nv -1.17549421e-38 inf -123.456001\nf 1 2 3 4\nf 4 3 2 1\n"),
+], ids=["dim2-triangle", "dim3-quads"])
+def test_obj_text_is_pinned(tmp_path, mesh, text):
+    path = tmp_path / "m.obj"
+    write_obj(mesh, path)
+    assert path.read_text() == text
+    assert bitwise_equal(read_obj(path), mesh)
+
+
+def test_obj_round_trips_across_write_blocks(tmp_path):
+    # more vertex rows and more face rows than one formatted write holds
+    rng = np.random.default_rng(12)
+    n = _OBJ_BLOCK + 3
+    vertices = rng.standard_normal((n, 3)).astype(np.float32) * np.float32(1e4)
+    mesh = Mesh(vertices, rng.integers(0, n, size=(_OBJ_BLOCK + 5, 3)).astype(np.uint32))
+    path = tmp_path / "big.obj"
+    write_obj(mesh, path)
+    with open(path) as handle:
+        assert sum(1 for _ in handle) == mesh.n_vertices + mesh.n_elements
+    assert bitwise_equal(read_obj(path), mesh)
+
+
+def test_obj_round_trips_a_sweep_of_float32_bit_patterns(tmp_path):
+    rng = np.random.default_rng(2024)
+    extremes = np.array([0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x007FFFFF,
+                         0x00800000, 0x7F7FFFFF, 0xFF7FFFFF, 0x7F800000, 0xFF800000,
+                         0x7FC00000, 0x3F800000], np.uint32)
+    bits = np.concatenate([rng.integers(0, 2**32, size=2**16, dtype=np.uint32), extremes])
+    values = bits.view(np.float32)
+    # every NaN is written as "nan", so the writer refuses all but the one it reads back as
+    values = values[~np.isnan(values) | (bits == 0x7FC00000)]
+    values = values[:len(values) // 2 * 2].reshape(-1, 2)
+    mesh = Mesh(values, elems((0, 1, 2)))
+    path = tmp_path / "sweep.obj"
+    write_obj(mesh, path)
+    assert bitwise_equal(read_obj(path), mesh)
+
+
+@pytest.mark.parametrize("coordinate", ["1e39", "-1e39", "3.4028235677973366e38"])
+def test_obj_coordinate_beyond_float32_is_format_error(tmp_path, coordinate):
+    # the last is half an ulp past the largest float32, which rounds to inf
+    path = tmp_path / "big.obj"
+    path.write_text(f"v 0 0\nv 1 {coordinate}\nv 0 1\nf 1 2 3\n")
+    with pytest.raises(FormatError, match=f"{path.name}: vertex 2 .*float32"):
+        read_obj(path)
+
+
+def test_obj_reads_infinities_nan_and_underflow_as_before(tmp_path):
+    path = tmp_path / "edges.obj"
+    path.write_text("v inf -inf nan\nv 3.4028235e38 1e-50 -1e-46\nf 1 2 1\n")
+    assert vertex_bits(read_obj(path).vertices).tolist() == [
+        [0x7F800000, 0xFF800000, 0x7FC00000], [0x7F7FFFFF, 0x00000000, 0x80000000]]
 
 
 def test_bin_roundtrip(tmp_path, worked_mesh):

@@ -6,7 +6,7 @@ import pytest
 
 import remeshx
 from remeshx import (InvalidMeshError, Issue, Mesh, MeshError, bitwise_equal, dereference,
-                     read_bin, reindex, vertex_bits, write_bin)
+                     read_bin, read_obj, reindex, vertex_bits, write_bin, write_obj)
 from conftest import A, B, C, D, E, F, elems, feed_fifo, vtx
 
 
@@ -128,11 +128,17 @@ def _read_bin_from_file(mesh, tmp_path):
     return read_bin(tmp_path / "m.rmx")
 
 
+def _read_obj_from_file(mesh, tmp_path):
+    write_obj(mesh, tmp_path / "m.obj")
+    return read_obj(tmp_path / "m.obj", dim=mesh.dim)
+
+
 MESH_SOURCES = {
     "constructed": lambda mesh, tmp_path: Mesh(mesh.vertices.copy(), mesh.elements.copy()),
     "adopted": lambda mesh, tmp_path: Mesh._adopt(mesh.vertices.copy(), mesh.elements.copy()),
     "read_bin": _read_bin_from_file,
     "read_bin_fifo": _read_bin_from_fifo,
+    "read_obj": _read_obj_from_file,
     "reindexed": lambda mesh, tmp_path: reindex(mesh)[0],
 }
 
