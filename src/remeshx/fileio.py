@@ -73,9 +73,11 @@ def read_obj(path, dim: int | None = None, return_groups: bool = False):
                 if not 2 <= len(tokens) - 1 <= 4:
                     raise FormatError(f"{path}:{lineno}: vertex needs 2-4 coordinates")
                 try:
-                    coords.append([float(t) for t in tokens[1:4]] + [0.0] * (4 - len(tokens)))
+                    # a fourth (w) component is parsed, so a bad one is refused, then dropped
+                    row = [float(t) for t in tokens[1:]]
                 except ValueError:
                     raise FormatError(f"{path}:{lineno}: bad coordinate") from None
+                coords.append(row[:3] + [0.0] * (3 - len(row)))
                 max_components = max(max_components, len(tokens) - 1)
             elif kind == "f":
                 if len(tokens) - 1 < 3:

@@ -1,16 +1,21 @@
 """The four-step re-indexing pipeline.
 
-Step 1 marks used vertices and overwrites unused ones with a used vertex,
-turning them into removable duplicates.  Step 2 key-value sorts the vertices
-(carrying their original positions), flags first occurrences, and scans the
-flags into compacted destinations.  Step 3 stream-compacts the survivors
-into the new vertex array: the k-th first occurrence goes to slot k, which,
-with the scan positions of step 2, is the paper's scatter.  Step 4 scatters
-each sorted slot's new index to its original position, then rewrites every
-element index through that table.
+Step 1 of the paper marks used vertices and overwrites unused ones with a
+used vertex, turning them into removable duplicates.  Step 2 key-value sorts
+the vertices (carrying their original positions), flags first occurrences,
+and scans the flags into compacted destinations.  Step 3 stream-compacts the
+survivors into the new vertex array: the k-th first occurrence goes to slot k,
+which, with the scan positions of step 2, is the paper's scatter.  Step 4
+scatters each sorted slot's new index to its original position, then rewrites
+every element index through that table.
 
-All intermediates are returned in :class:`ReindexScratch` so they can be
-inspected and asserted on directly.
+:func:`reindex` marks the used vertices but does not overwrite the others:
+steps 2 to 4 run over the used vertices alone, since the overwritten ones
+would only be removed again.  :func:`overwrite_unused` remains the paper's
+step 1 for running the steps by hand.  All intermediates are returned in
+:class:`ReindexScratch`, which rebuilds the paper's full-length arrays
+exactly when they are first read, so they can be inspected and asserted on
+directly.
 """
 from __future__ import annotations
 
@@ -30,16 +35,53 @@ _GATHER_BLOCK = 1 << 16
 class ReindexScratch:
     """Intermediate arrays of one pipeline run.
 
-    ``org_id`` records where each sorted vertex came from; step 4 scatters
-    ``new_idx`` through it.  For a mesh with zero elements the pipeline
-    short-circuits and all arrays except ``is_used`` are empty.
+    The ``used_*`` fields hold the arrays of ``reindex``'s sort of the used
+    vertices.  ``org_id``, ``nodup`` and ``new_idx`` are the paper's arrays,
+    one entry per input vertex, built on first access: step 1 overwrites each
+    unused vertex with vertex ``elements[0, 0]`` (new index
+    ``replacement_idx``), so the stable sort puts the unused vertices, in
+    ascending position, into that vertex's run of equal rows.  When every
+    vertex is used they are the ``used_*`` arrays themselves.  For a mesh
+    with zero elements all arrays except ``is_used`` are empty.
     """
 
-    is_used: np.ndarray   # bool, one per input vertex
-    org_id: np.ndarray    # uint32, one per sorted vertex
-    nodup: np.ndarray     # bool, one per sorted vertex
-    new_idx: np.ndarray   # uint32, one per sorted vertex
+    is_used: np.ndarray       # bool, one per input vertex
     new_count: int
+    used_org_id: np.ndarray   # uint32, one per sorted used vertex
+    used_nodup: np.ndarray    # bool, one per sorted used vertex
+    used_new_idx: np.ndarray  # uint32, one per sorted used vertex
+    replacement_idx: int      # new index of vertex elements[0, 0]; 0 with no elements
+
+    @cached_property
+    def _full(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(org_id, nodup, new_idx)``: the used arrays with the replacement's run widened."""
+        used = (self.used_org_id, self.used_nodup, self.used_new_idx)
+        if len(self.used_org_id) == len(self.is_used) or not self.new_count:
+            return used  # every vertex is used, or there are no elements and nothing is
+        k = self.replacement_idx
+        start, stop = np.searchsorted(self.used_new_idx, [k, k + 1])
+        unused = np.flatnonzero(~self.is_used).astype(np.uint32)
+        # both parts ascend and are disjoint, so their sorted union is the stable order
+        org_run = np.sort(np.concatenate([self.used_org_id[start:stop], unused]))
+        nodup_run = np.zeros(len(org_run), bool)
+        nodup_run[0] = True
+        runs = (org_run, nodup_run, np.full(len(org_run), k, np.uint32))
+        return tuple(np.concatenate([a[:start], run, a[stop:]]) for a, run in zip(used, runs))
+
+    @cached_property
+    def org_id(self) -> np.ndarray:
+        """uint32, one per input vertex: where each sorted vertex came from."""
+        return self._full[0]
+
+    @cached_property
+    def nodup(self) -> np.ndarray:
+        """bool, one per input vertex: True at the first sorted slot of each distinct row."""
+        return self._full[1]
+
+    @cached_property
+    def new_idx(self) -> np.ndarray:
+        """uint32, one per input vertex: the compacted index of each sorted slot."""
+        return self._full[2]
 
     @cached_property
     def perm(self) -> np.ndarray:
@@ -69,15 +111,19 @@ def overwrite_unused(vertices: np.ndarray, is_used: np.ndarray,
     return out
 
 
-def compute_sort_permutation(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable bitwise sort; returns (sorted vertices, origin of each sorted slot)."""
+def compute_sort_permutation(vertices: np.ndarray,
+                             used: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Stable bitwise sort; returns (sorted vertices, origin of each sorted slot).
+
+    With ``used`` (one bool per row) only the flagged rows are sorted and returned.
+    """
     vertices = vertex_rows(vertices, "vertices")
-    org_id = bitwise_sort_order(vertices)
+    org_id = bitwise_sort_order(vertices, used)
     # gather in blocks, so numpy's intp copy of the indices is one block, not n rows
-    sorted_vtx = np.empty(vertices.shape, np.float32)
+    sorted_vtx = np.empty((len(org_id), vertices.shape[1]), np.float32)
     for start in range(0, len(org_id), _GATHER_BLOCK):
         block = slice(start, start + _GATHER_BLOCK)
-        # org_id is a permutation, so "clip" never clips; it skips numpy's buffered out copy
+        # org_id holds distinct row ids, so "clip" never clips; it skips numpy's buffered out copy
         np.take(vertices, org_id[block], axis=0, out=sorted_vtx[block], mode="clip")
     return sorted_vtx, org_id
 
@@ -151,21 +197,21 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
     is_used = mark_used(mesh)
     if mesh.n_elements == 0:
         empty_u32 = np.empty(0, np.uint32)
-        empty_bool = np.empty(0, bool)
-        scratch = ReindexScratch(is_used, empty_u32, empty_bool, empty_u32, 0)
+        scratch = ReindexScratch(is_used, 0, empty_u32, np.empty(0, bool), empty_u32, 0)
         return Mesh.empty(dim=mesh.dim, arity=mesh.arity), scratch
 
-    # with every vertex used the overwrite changes nothing, so the sort reads the rows uncopied
-    replacement = mesh.vertices[int(mesh.elements[0, 0])]
+    # the unused rows are left out of the sort rather than overwritten into duplicates;
+    # ReindexScratch puts them back where the paper's step 1 would have sorted them
     sorted_vtx, org_id = compute_sort_permutation(
-        mesh.vertices if is_used.all() else overwrite_unused(mesh.vertices, is_used, replacement))
+        mesh.vertices, None if is_used.all() else is_used)
     nodup = flag_first_occurrences(sorted_vtx)
     new_idx, new_count = compute_new_indices(nodup)
     new_vtx = compact_vertices(sorted_vtx, nodup, new_idx, new_count)
     del sorted_vtx  # free the sorted rows before the table and the remap allocate
-    # org_id is a permutation of every input position, so each slot is written
+    # only the used positions are written: table[mesh.elements] never reads another entry
     table = np.empty(mesh.n_vertices, np.uint32)
     table[org_id] = new_idx
-    scratch = ReindexScratch(is_used, org_id, nodup, new_idx, new_count)
+    scratch = ReindexScratch(is_used, new_count, org_id, nodup, new_idx,
+                             int(table[mesh.elements[0, 0]]))
     # both arrays are fresh and referenced nowhere else, so the mesh adopts them uncopied
     return Mesh._adopt(new_vtx, table[mesh.elements]), scratch

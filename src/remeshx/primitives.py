@@ -13,7 +13,7 @@ import numpy as np
 from .mesh import MAX_VERTICES, MeshError, flag_array, vertex_bits
 
 
-def bitwise_sort_order(keys: np.ndarray) -> np.ndarray:
+def bitwise_sort_order(keys: np.ndarray, used: np.ndarray | None = None) -> np.ndarray:
     """Stable ascending order of vertex rows under the bitwise lexicographic order.
 
     An LSD sort with one pass per component, from the last up to the first.
@@ -23,21 +23,35 @@ def bitwise_sort_order(keys: np.ndarray) -> np.ndarray:
     with that order.  Words are distinct, so each pass is stable whatever
     algorithm sorts it.  The order equals a stable lexicographic sort of the
     uint32 component rows; more than 2^32 - 1 rows raise ``MeshError``.
+
+    With ``used`` (one bool per row) only the rows flagged True are ordered,
+    so the result holds ``count_nonzero(used)`` row ids.
     """
     bits = vertex_bits(keys)
     n = len(bits)
     if n >= MAX_VERTICES:
         raise MeshError(f"sort of {n} rows exceeds 32-bit position range")
+    if used is not None:
+        used = flag_array(used, n, "used flags")
+    n_sorted = n if used is None else np.count_nonzero(used)
     word = np.empty(n, np.uint64)
     order = None
     for c in range(bits.shape[1] - 1, -1, -1):
         np.left_shift(bits[:, c] if order is None else bits[order, c], 32, out=word,
                       dtype=np.uint64)
-        word |= np.arange(n, dtype=np.uint32)
+        word |= np.arange(len(word), dtype=np.uint32)
+        if order is None and used is not None:
+            # positions stay below 2^32 - 1, so no real word reaches all ones and the
+            # unused rows sort last, where the slice below drops them without a compress
+            np.putmask(word, ~used, np.uint64(0xFFFF_FFFF_FFFF_FFFF))
         word.sort()
+        word = word[:n_sorted]
         # the ranks overwrite the words, so a pass holds the words and two orders at most
         np.bitwise_and(word, 0xFFFFFFFF, out=word)
-        order = word.astype(np.uint32) if order is None else order[word]
+        # the ranks are below 2^32, so the int64 view reads them exactly and spares
+        # numpy's cast of uint64 indices
+        order = (word.astype(np.uint32) if order is None
+                 else np.take(order, word.view(np.int64), mode="clip"))
     return order
 
 

@@ -277,6 +277,15 @@ def test_format_override_and_quiet(tmp_path, capsys):
     assert stdout == ""
 
 
+def test_obj_bad_w_coordinate_fails_closed(tmp_path, capsys):
+    src, out = tmp_path / "w.obj", tmp_path / "out.obj"
+    src.write_text("v 0 0 0\nv 1 0 0 zz\nv 0 1 0\nf 1 2 3\n")
+    code, _, stderr = run(capsys, "reindex", src, out)
+    assert code == 1
+    assert "w.obj:2: bad coordinate" in stderr and "Traceback" not in stderr
+    assert not out.exists()
+
+
 def test_obj_coordinate_beyond_float32_fails_closed(tmp_path, capsys):
     src, out = tmp_path / "big.obj", tmp_path / "out.obj"
     src.write_text("v 0 0\nv 1e39 0\nv 0 1\nf 1 2 3\n")

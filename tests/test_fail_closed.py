@@ -57,6 +57,18 @@ CASES = [
                  MeshError, "shape", id="overwrite_unused-2d-flags"),
     pytest.param(lambda p: overwrite_unused(THREE_ROWS, np.array([0.5, 1, 2]), THREE_ROWS[0]),
                  MeshError, "bool", id="overwrite_unused-float-flags"),
+    pytest.param(lambda p: bitwise_sort_order(THREE_ROWS, [True, False]), MeshError, "shape",
+                 id="bitwise_sort_order-short-used"),
+    pytest.param(lambda p: bitwise_sort_order(THREE_ROWS, [1, 0, 1]), MeshError, "bool",
+                 id="bitwise_sort_order-int-used"),
+    pytest.param(lambda p: bitwise_sort_order(THREE_ROWS, np.ones((3, 1), bool)), MeshError,
+                 "shape", id="bitwise_sort_order-2d-used"),
+    pytest.param(lambda p: compute_sort_permutation(THREE_ROWS, np.ones(4, bool)), MeshError,
+                 "shape", id="compute_sort_permutation-long-used"),
+    pytest.param(lambda p: compute_sort_permutation(THREE_ROWS, [0.5, 1, 1]), MeshError, "bool",
+                 id="compute_sort_permutation-float-used"),
+    pytest.param(lambda p: compute_sort_permutation(THREE_ROWS, np.ones((1, 3), bool)),
+                 MeshError, "shape", id="compute_sort_permutation-2d-used"),
     # vertex arrays
     pytest.param(lambda p: bitwise_sort_order(ROW), MeshError, "axes",
                  id="bitwise_sort_order-1d"),

@@ -76,6 +76,21 @@ def test_obj_errors(tmp_path):
             read_obj(path)
 
 
+@pytest.mark.parametrize("w", ["zz", "1..0", "nan0"])
+def test_obj_bad_w_coordinate_is_format_error(tmp_path, w):
+    # the fourth component is dropped, but it must still be a number
+    path = tmp_path / "w.obj"
+    path.write_text(f"v 0 0 0 1\nv 1 0 0 {w}\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(FormatError, match=f"{path.name}:2: bad coordinate"):
+        read_obj(path)
+
+
+def test_obj_numeric_w_coordinate_is_dropped(tmp_path):
+    path = tmp_path / "w.obj"
+    path.write_text("v 0 0 0 1\nv 1 0 2 0.5\nv 0 1 0 nan\nf 1 2 3\n")
+    assert read_obj(path).vertices.tolist() == [[0, 0, 0], [1, 0, 2], [0, 1, 0]]
+
+
 @pytest.mark.parametrize("padding", [0, 100_000], ids=["first-chunk", "later-chunk"])
 def test_obj_undecodable_text_is_format_error(tmp_path, padding):
     # the padding puts the bad bytes past the first block the text reader decodes

@@ -67,6 +67,18 @@ def test_soup_to_mesh_two_identical_triangles():
     assert rebuilt.elements[0].tolist() == rebuilt.elements[1].tolist()
 
 
+def test_soup_to_mesh_of_the_soup_equals_reindex():
+    # the soup uses every vertex, so this checks reindex's used-rows sort against its full sort
+    rng = np.random.default_rng(2024)
+    for seed in range(300):
+        mesh = random_mesh(RandomMeshSpec(
+            seed=seed, n_base_vertices=int(rng.integers(1, 60)),
+            n_elements=int(rng.integers(0, 40)), arity=int(rng.integers(3, 5)),
+            dup_fraction=float(rng.random()), unused_fraction=float(rng.random()),
+            coord_pool_size=int(rng.choice([2, 16, 10**6])), dim=int(rng.integers(1, 5))))
+        assert bitwise_equal(soup_to_mesh(dereference(mesh)), reindex(mesh)[0]), seed
+
+
 def test_soup_to_mesh_rejects_ragged():
     with pytest.raises(MeshError):
         soup_to_mesh([[[0, 0], [1, 1], [2, 2]], [[0, 0], [1, 1]]])

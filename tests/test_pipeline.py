@@ -94,6 +94,15 @@ def test_sort_permutation_already_sorted():
 def test_sort_permutation_empty():
     sorted_vtx, org_id = compute_sort_permutation(np.empty((0, 2), np.float32))
     assert len(sorted_vtx) == 0 and len(org_id) == 0
+    sorted_vtx, org_id = compute_sort_permutation(vtx(A, B, C), np.zeros(3, bool))
+    assert sorted_vtx.shape == (0, 2) and len(org_id) == 0
+
+
+def test_sort_permutation_of_used_rows_worked(worked_mesh):
+    sorted_vtx, org_id = compute_sort_permutation(worked_mesh.vertices,
+                                                  mark_used(worked_mesh))
+    assert sorted_vtx.tolist() == vtx(A, B, C, C, D, D, E, F).tolist()
+    assert org_id.tolist() == [0, 1, 2, 5, 4, 9, 6, 7]
 
 
 def test_flag_first_occurrences_worked():
@@ -208,6 +217,58 @@ def test_reindex_leaves_perm_to_first_access(worked_mesh):
     _, scratch = reindex(worked_mesh)
     assert "perm" not in vars(scratch)
     assert scratch.perm.tolist() == [0, 3, 4, 1, 6, 5, 8, 9, 2, 7]
+
+
+def test_reindex_leaves_full_scratch_to_first_access(worked_mesh):
+    _, scratch = reindex(worked_mesh)
+    assert not {"_full", "org_id", "nodup", "new_idx"} & set(vars(scratch))
+    assert scratch.used_org_id.tolist() == [0, 1, 2, 5, 4, 9, 6, 7]
+    assert scratch.org_id.tolist() == [0, 3, 8, 1, 2, 5, 4, 9, 6, 7]
+    assert scratch.nodup.astype(int).tolist() == [1, 0, 0, 1, 1, 0, 1, 0, 1, 1]
+    assert scratch.new_idx.tolist() == [0, 0, 0, 1, 2, 2, 3, 3, 4, 5]
+
+
+def hand_run_chain(mesh):
+    """The paper's steps run by hand, with step 1's overwrite: the reference for reindex."""
+    is_used = mark_used(mesh)
+    cleaned = overwrite_unused(mesh.vertices, is_used, mesh.vertices[mesh.elements[0, 0]])
+    sorted_vtx, org_id = compute_sort_permutation(cleaned)
+    nodup = flag_first_occurrences(sorted_vtx)
+    new_idx, new_count = compute_new_indices(nodup)
+    table = np.empty(mesh.n_vertices, np.uint32)
+    table[org_id] = new_idx
+    return org_id, nodup, new_idx, new_count, table[mesh.elements]
+
+
+def mesh_with_unused(dim, unused_fraction, seed):
+    """Mesh whose first and last vertex are used copies of the replacement row, elements[0, 0]."""
+    rng = np.random.default_rng(seed)
+    n = 240
+    vertices = rng.integers(0, 3, size=(n, dim)).astype(np.float32)
+    # the unused ids lie strictly between the first and the last vertex
+    unused = 1 + rng.permutation(n - 2)[:round(unused_fraction * n)]
+    used = np.setdiff1d(np.arange(n), unused)
+    corners = rng.permutation(np.resize(used, 3 * -(-len(used) // 3)))
+    elements = corners.reshape(-1, 3).astype(np.uint32)
+    vertices[[0, -1]] = vertices[elements[0, 0]]
+    return Mesh(vertices, elements)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("unused_fraction", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_reindex_scratch_equals_the_hand_run_chain(dim, unused_fraction, seed):
+    mesh = mesh_with_unused(dim, unused_fraction, 10 * dim + seed)
+    out, scratch = reindex(mesh)
+    org_id, nodup, new_idx, new_count, elements = hand_run_chain(mesh)
+    assert np.count_nonzero(~scratch.is_used) == round(unused_fraction * mesh.n_vertices)
+    assert scratch.new_count == new_count and np.array_equal(out.elements, elements)
+    for got, want in ((scratch.org_id, org_id), (scratch.nodup, nodup),
+                      (scratch.new_idx, new_idx), (scratch.perm, invert_permutation(org_id))):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    if not unused_fraction:
+        assert scratch.org_id is scratch.used_org_id and scratch.nodup is scratch.used_nodup
+        assert scratch.new_idx is scratch.used_new_idx
 
 
 def test_reindex_already_compact():

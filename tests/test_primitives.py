@@ -36,6 +36,28 @@ def test_bitwise_sort_order_small_and_tied_inputs(dim):
     assert bitwise_sort_order(np.ones((7, dim), np.float32)).tolist() == list(range(7))
 
 
+@settings(max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+    st.tuples(st.lists(st.sampled_from(_AWKWARD_BITS), min_size=dim, max_size=dim),
+              st.booleans()), max_size=60)
+    .map(lambda rows: (np.array([r for r, _ in rows], np.uint32).reshape(len(rows), dim),
+                       np.array([u for _, u in rows], bool)))))
+def test_bitwise_sort_order_of_used_rows_is_the_full_order_without_the_unused(bits_used):
+    bits, used = bits_used
+    vertices = bits.view(np.float32)
+    full = bitwise_sort_order(vertices)
+    order = bitwise_sort_order(vertices, used)
+    assert order.dtype == np.uint32
+    assert order.tolist() == full[used[full]].tolist()
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_bitwise_sort_order_with_no_used_row_is_empty(dim):
+    keys = np.ones((5, dim), np.float32)
+    assert bitwise_sort_order(keys, np.zeros(5, bool)).tolist() == []
+    assert bitwise_sort_order(keys[:0], np.zeros(0, bool)).tolist() == []
+
+
 def test_bitwise_sort_order_rejects_rows_without_components():
     with pytest.raises(MeshError):
         bitwise_sort_order(np.empty((3, 0), np.float32))
@@ -102,4 +124,14 @@ def test_sort_holds_at_most_sixteen_bytes_per_row(dim):
     n = 1 << 18
     keys = np.random.default_rng(dim).integers(0, 256, size=(n, dim)).astype(np.float32)
     peak = traced_peak(bitwise_sort_order, keys)
+    assert peak <= 16 * n + (1 << 17), f"{peak / n:.2f} bytes per row"
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_sort_of_used_rows_holds_at_most_sixteen_bytes_per_row(dim):
+    # the unused rows' words are sliced off in place, so the mask adds no full-length buffer
+    n = 1 << 18
+    rng = np.random.default_rng(dim)
+    keys = rng.integers(0, 256, size=(n, dim)).astype(np.float32)
+    peak = traced_peak(bitwise_sort_order, keys, rng.random(n) < 0.8)
     assert peak <= 16 * n + (1 << 17), f"{peak / n:.2f} bytes per row"
