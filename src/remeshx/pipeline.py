@@ -16,6 +16,12 @@ step 1 for running the steps by hand.  All intermediates are returned in
 :class:`ReindexScratch`, which rebuilds the paper's full-length arrays
 exactly when they are first read, so they can be inspected and asserted on
 directly.
+
+:func:`reindex` reads the input's vertex rows for the last time in the sort
+and then drops its reference to the input mesh.  On Python 3.11 or later, a
+mesh passed as a temporary, as in ``reindex(read_bin(path))``, is therefore
+freed before the later steps allocate; a mesh the caller still holds is kept,
+and is never modified.
 """
 from __future__ import annotations
 
@@ -26,12 +32,10 @@ import numpy as np
 
 from .mesh import (MAX_VERTICES, Mesh, MeshError, flag_array, index_array, size_value,
                    vertex_bits, vertex_rows)
-from .primitives import bitwise_sort_order, inclusive_scan
-
-_GATHER_BLOCK = 1 << 16
+from .primitives import BLOCK_ROWS, bitwise_sort_order, inclusive_scan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReindexScratch:
     """Intermediate arrays of one pipeline run.
 
@@ -42,7 +46,8 @@ class ReindexScratch:
     ``replacement_idx``), so the stable sort puts the unused vertices, in
     ascending position, into that vertex's run of equal rows.  When every
     vertex is used they are the ``used_*`` arrays themselves.  For a mesh
-    with zero elements all arrays except ``is_used`` are empty.
+    with zero elements all arrays except ``is_used`` are empty.  Records
+    compare and hash by identity.
     """
 
     is_used: np.ndarray       # bool, one per input vertex
@@ -121,8 +126,8 @@ def compute_sort_permutation(vertices: np.ndarray,
     org_id = bitwise_sort_order(vertices, used)
     # gather in blocks, so numpy's intp copy of the indices is one block, not n rows
     sorted_vtx = np.empty((len(org_id), vertices.shape[1]), np.float32)
-    for start in range(0, len(org_id), _GATHER_BLOCK):
-        block = slice(start, start + _GATHER_BLOCK)
+    for start in range(0, len(org_id), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
         # org_id holds distinct row ids, so "clip" never clips; it skips numpy's buffered out copy
         np.take(vertices, org_id[block], axis=0, out=sorted_vtx[block], mode="clip")
     return sorted_vtx, org_id
@@ -193,6 +198,12 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
     The output has vertices in bitwise-sorted order, the same element count
     and arity, and an identical soup.  A mesh with zero elements collapses to
     the empty mesh (every vertex is unused).
+
+    The input's vertex rows are last read by the sort, after which ``reindex``
+    holds only the element indices.  Passing a temporary, as in
+    ``reindex(read_bin(path))``, lets Python 3.11 or later free the rows before
+    the remaining steps run; before 3.11 the calling frame keeps the argument
+    alive until the call returns.
     """
     is_used = mark_used(mesh)
     if mesh.n_elements == 0:
@@ -204,14 +215,18 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
     # ReindexScratch puts them back where the paper's step 1 would have sorted them
     sorted_vtx, org_id = compute_sort_permutation(
         mesh.vertices, None if is_used.all() else is_used)
+    # the vertex rows are not read again: dropping the mesh frees them before the next
+    # steps allocate when the caller passed a temporary (Python 3.11 or later)
+    n_vertices, elements = mesh.n_vertices, mesh.elements
+    del mesh
     nodup = flag_first_occurrences(sorted_vtx)
     new_idx, new_count = compute_new_indices(nodup)
     new_vtx = compact_vertices(sorted_vtx, nodup, new_idx, new_count)
     del sorted_vtx  # free the sorted rows before the table and the remap allocate
-    # only the used positions are written: table[mesh.elements] never reads another entry
-    table = np.empty(mesh.n_vertices, np.uint32)
+    # only the used positions are written: table[elements] never reads another entry
+    table = np.empty(n_vertices, np.uint32)
     table[org_id] = new_idx
     scratch = ReindexScratch(is_used, new_count, org_id, nodup, new_idx,
-                             int(table[mesh.elements[0, 0]]))
+                             int(table[elements[0, 0]]))
     # both arrays are fresh and referenced nowhere else, so the mesh adopts them uncopied
-    return Mesh._adopt(new_vtx, table[mesh.elements]), scratch
+    return Mesh._adopt(new_vtx, table[elements]), scratch

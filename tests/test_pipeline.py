@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 from remeshx import (Mesh, MeshError, bitwise_equal, compact_vertices,
                      compute_new_indices, compute_sort_permutation, dereference,
                      flag_first_occurrences, grid_quads, invert_permutation, mark_used,
-                     overwrite_unused, reindex, soups_equal, vertex_bits)
+                     overwrite_unused, read_bin, reindex, soups_equal, vertex_bits,
+                     write_bin)
+from remeshx import pipeline
 from conftest import A, B, C, D, E, F, elems, vtx
 
 
@@ -226,6 +230,42 @@ def test_reindex_leaves_full_scratch_to_first_access(worked_mesh):
     assert scratch.org_id.tolist() == [0, 3, 8, 1, 2, 5, 4, 9, 6, 7]
     assert scratch.nodup.astype(int).tolist() == [1, 0, 0, 1, 1, 0, 1, 0, 1, 1]
     assert scratch.new_idx.tolist() == [0, 0, 0, 1, 2, 2, 3, 3, 4, 5]
+
+
+def test_reindex_scratch_compares_by_identity():
+    # array fields make field-wise equality ambiguous, so records compare and hash by identity
+    s1, s2 = reindex(grid_quads(2))[1], reindex(grid_quads(2))[1]
+    assert s1 != s2 and s1 == s1
+    assert len({s1, s2}) == 2
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before Python 3.11 the calling frame keeps the argument alive "
+                           "for the whole call, so reindex cannot free it")
+def test_reindex_frees_a_temporary_input_after_the_sort(tmp_path, monkeypatch):
+    path = tmp_path / "grid.rmx"
+    write_bin(grid_quads(64), path)
+    owners, alive = [], []
+
+    def load():
+        mesh = read_bin(path)
+        owners.append(weakref.ref(mesh.vertices.base))
+        return mesh
+
+    def spy(nodup, real=pipeline.compute_new_indices):
+        alive.append(owners[-1]() is not None)
+        return real(nodup)
+
+    monkeypatch.setattr(pipeline, "compute_new_indices", spy)
+    out, _ = reindex(load())
+    held = load()
+    rows, elements = held.vertices.copy(), held.elements.copy()
+    again, _ = reindex(held)
+    # a temporary's vertex rows are gone before the scan; a held mesh is kept intact
+    assert alive == [False, True]
+    assert np.array_equal(held.vertices.view(np.uint32), rows.view(np.uint32))
+    assert np.array_equal(held.elements, elements)
+    assert bitwise_equal(out, again)
 
 
 def hand_run_chain(mesh):
