@@ -3,8 +3,10 @@
 The sort is STABLE (ties broken by original position), so every downstream
 result is bit-deterministic.  Its stability does not rest on numpy's choice of
 sort algorithm: every pass sorts distinct words that carry a row position in
-their low 32 bits, and distinct words have one sorted order.  Every other
-pipeline step is a map or a scatter written directly in numpy.
+their low 32 bits, and distinct words have one sorted order.  Given a used
+mask, the sort builds words for the flagged rows only, so an unused row takes
+no part in it.  Every other pipeline step is a map or a scatter written
+directly in numpy.
 """
 from __future__ import annotations
 
@@ -28,14 +30,16 @@ def bitwise_sort_order(keys: np.ndarray, used: np.ndarray | None = None) -> np.n
     uint32 component rows; more than 2^32 - 1 rows raise ``MeshError``.
 
     With ``used`` (one bool per row) only the rows flagged True are ordered,
-    so the result holds ``count_nonzero(used)`` row ids.
+    so the result holds ``count_nonzero(used)`` row ids.  An unused row gets
+    no word: the first pass packs the flagged rows only.
 
-    Beyond ``keys``, a pass holds one word buffer and one uint32 order, 12 bytes
-    per row, plus temporaries of one block of ``BLOCK_ROWS`` rows.  The words are
-    built a block at a time, so no full-length gathered column or position array
-    exists.  The composed order is written, block by block, into the front of
-    the word buffer viewed as uint32: block k overwrites only ranks that blocks
-    before it have read, and block 0 reads its ranks before it writes.
+    Beyond ``keys`` and ``used``, a pass holds one word buffer and one uint32
+    order, 12 bytes per sorted row, plus temporaries of one block of
+    ``BLOCK_ROWS`` rows.  The words are built a block at a time, so no
+    full-length gathered column or position array exists.  The composed order
+    is written, block by block, into the front of the word buffer viewed as
+    uint32: block k overwrites only ranks that blocks before it have read, and
+    block 0 reads its ranks before it writes.
     """
     bits = vertex_bits(keys)
     n = len(bits)
@@ -43,26 +47,19 @@ def bitwise_sort_order(keys: np.ndarray, used: np.ndarray | None = None) -> np.n
         raise MeshError(f"sort of {n} rows exceeds 32-bit position range")
     if used is not None:
         used = flag_array(used, n, "used flags")
-    n_sorted = n if used is None else np.count_nonzero(used)
-    word = np.empty(n, np.uint64)
-    order = None
-    for c in range(bits.shape[1] - 1, -1, -1):
-        for start in range(0, len(word), BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, len(word))
+    word = _last_component_words(bits, used)
+    word.sort()
+    # the cast to uint32 truncates, so it reads the row ids in the low halves unmasked
+    order = word.astype(np.uint32)
+    n_sorted = len(word)
+    for c in range(bits.shape[1] - 2, -1, -1):
+        for start in range(0, n_sorted, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, n_sorted)
             # shifts, not a view of the words' uint32 halves, keep this byte-order free
-            np.left_shift(bits[start:stop, c] if order is None else bits[order[start:stop], c],
-                          32, out=word[start:stop], dtype=np.uint64)
+            np.left_shift(bits[order[start:stop], c], 32, out=word[start:stop], dtype=np.uint64)
             word[start:stop] |= np.arange(start, stop, dtype=np.uint64)
-        if order is None and used is not None:
-            # positions stay below 2^32 - 1, so no real word reaches all ones and the
-            # unused rows sort last, where the slice below drops them without a compress
-            np.putmask(word, ~used, np.uint64(0xFFFF_FFFF_FFFF_FFFF))
         word.sort()
-        word = word[:n_sorted]
         np.bitwise_and(word, 0xFFFFFFFF, out=word)
-        if order is None:
-            order = word.astype(np.uint32)
-            continue
         # the ranks are below 2^32, so the int64 view reads them exactly and spares
         # numpy's cast of uint64 indices.  Block k of the composed order is written
         # over bytes that hold the ranks below (k + 1) * BLOCK_ROWS / 2 <= k * BLOCK_ROWS
@@ -77,6 +74,32 @@ def bitwise_sort_order(keys: np.ndarray, used: np.ndarray | None = None) -> np.n
         del order
         order = front.copy()
     return order
+
+
+def _last_component_words(bits: np.ndarray, used: np.ndarray | None) -> np.ndarray:
+    """First-pass words ``(last component << 32) | row id`` of the flagged rows, in row order.
+
+    The buffer holds one word per flagged row.  It is filled a block of input rows
+    at a time, from the block's flagged row ids, so an unused row never gets a word.
+    Being a function of its own, it frees the last block's temporaries before the sort.
+    """
+    n = len(bits)
+    word = np.empty(n if used is None else np.count_nonzero(used), np.uint64)
+    filled = 0
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        if used is None:
+            rows, column = np.arange(start, stop, dtype=np.uint64), bits[start:stop, -1]
+        else:
+            rows = np.flatnonzero(used[start:stop])
+            rows += start
+            column = bits[rows, -1]
+        out = word[filled:filled + len(rows)]
+        np.left_shift(column, 32, out=out, dtype=np.uint64)
+        # the unsafe cast only reinterprets the non-negative intp row ids as uint64
+        np.bitwise_or(out, rows, out=out, dtype=np.uint64, casting="unsafe")
+        filled += len(rows)
+    return word
 
 
 def inclusive_scan(flags: np.ndarray) -> np.ndarray:

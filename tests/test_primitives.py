@@ -138,11 +138,33 @@ def test_sort_of_used_rows_holds_at_most_twelve_bytes_per_row(dim):
     assert peak <= 12 * n + (1 << 20), f"{peak / n:.2f} bytes per row"
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_sort_of_used_rows_holds_at_most_twelve_bytes_per_used_row(dim):
+    # an unused row gets no word, so the words and the order are sized to the used rows
+    n = 1 << 20
+    rng = np.random.default_rng(dim)
+    keys = rng.integers(0, 256, size=(n, dim)).astype(np.float32)
+    used = rng.random(n) < 0.8
+    n_used = np.count_nonzero(used)
+    peak = traced_peak(bitwise_sort_order, keys, used)
+    assert peak <= 12 * n_used + (1 << 20), f"{peak / n_used:.2f} bytes per used row"
+
+
 def lexsort_of_used_rows(vertices, used=None):
     """Stable lexicographic order of the uint32 bit rows flagged in ``used`` (all by default)."""
     bits = vertex_bits(vertices)
     rows = np.arange(len(bits)) if used is None else np.flatnonzero(used)
     return rows[np.lexsort(bits[rows].T[::-1])]
+
+
+def _sparse_masks(n, block):
+    """Masks over ``n`` rows whose used rows skip whole blocks of ``block`` rows, or sit
+    only in the last block; some also leave gaps inside the blocks they use."""
+    rows, blocks = np.arange(n), np.arange(n) // block
+    last = blocks[-1]
+    return [blocks % 2 == 1, (blocks % 2 == 1) & (rows % 2 == 1),
+            (blocks == 0) | (blocks == last), blocks == last, rows == n - 1,
+            (blocks % 3 == 2) & (rows % block == 0)]
 
 
 @pytest.mark.parametrize("n", [2, 5, 23])
@@ -155,7 +177,7 @@ def test_bitwise_sort_order_across_block_boundaries(monkeypatch, block, dim, n):
     vertices = np.array(_AWKWARD_BITS[:4], np.uint32)[
         rng.integers(0, 4, size=(n, dim))].view(np.float32)
     used = rng.random(n) < 0.7
-    for mask in (None, used):
+    for mask in (None, used, *_sparse_masks(n, block)):
         assert bitwise_sort_order(vertices, mask).tolist() == \
             lexsort_of_used_rows(vertices, mask).tolist()
 
