@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_VERTICES = 2**32
+# rows per block of the blocked gathers and of the sort's word building and composing
+BLOCK_ROWS = 1 << 16
 
 
 class MeshError(Exception):
@@ -168,8 +170,18 @@ def vertex_bits(vertices: np.ndarray) -> np.ndarray:
 
 
 def dereference(mesh: Mesh) -> np.ndarray:
-    """Expand a mesh into its soup: ``out[e, k] = vertices[elements[e, k]]``."""
-    return np.take(mesh.vertices, mesh.elements, axis=0)
+    """Expand a mesh into its soup: ``out[e, k] = vertices[elements[e, k]]``.
+
+    The corners are gathered ``BLOCK_ROWS`` at a time into the soup, so numpy's
+    intp copy of the element indices is one block, not 8 bytes per corner.
+    """
+    soup = np.empty(mesh.elements.shape + (mesh.dim,), np.float32)
+    rows, corners = soup.reshape(-1, mesh.dim), mesh.elements.reshape(-1)
+    for start in range(0, len(corners), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        # a Mesh's indices are in range, so "clip" never clips; it skips numpy's buffered out copy
+        np.take(mesh.vertices, corners[block], axis=0, out=rows[block], mode="clip")
+    return soup
 
 
 def soups_equal(a: np.ndarray, b: np.ndarray) -> bool:

@@ -23,16 +23,23 @@ def merge(meshes: list[Mesh]) -> Mesh:
     total = sum(m.n_vertices for m in meshes)
     if total >= MAX_VERTICES:
         raise MeshError(f"merged vertex count {total} exceeds 32-bit index range")
+    # the concatenation is a temporary, so reindex frees its vertex rows after the sort
+    # (Python 3.11 or later)
+    return reindex(_concatenation(meshes))[0]
 
+
+def _concatenation(meshes: list[Mesh]) -> Mesh:
+    """One mesh of all vertex and element arrays, each mesh's indices offset by the
+    vertex count before it; the indices are written straight into the stacked array."""
     vertices = np.vstack([m.vertices for m in meshes])
-    shifted = []
-    offset = 0
+    elements = np.empty((sum(m.n_elements for m in meshes), meshes[0].arity), np.uint32)
+    row = offset = 0
     for m in meshes:
         # cannot wrap: every index is below its mesh's vertex count and total < 2**32
-        shifted.append(m.elements + np.uint32(offset))
+        np.add(m.elements, np.uint32(offset), out=elements[row:row + m.n_elements])
+        row += m.n_elements
         offset += m.n_vertices
-    elements = np.vstack(shifted)
-    return reindex(Mesh._adopt(vertices, elements))[0]
+    return Mesh._adopt(vertices, elements)
 
 
 def soup_to_mesh(soup: np.ndarray) -> Mesh:
@@ -41,13 +48,21 @@ def soup_to_mesh(soup: np.ndarray) -> Mesh:
     ``soup`` has shape ``(m, arity, dim)``.  A dummy mesh with trivial
     indexing ``[(0..K-1), (K..2K-1), ...]`` is re-indexed into shared form;
     dereferencing the result reproduces the soup exactly.
+
+    The dummy mesh reads the soup's rows in place, and this call keeps no
+    reference to the soup while ``reindex`` runs.  A soup passed as a
+    temporary, as in ``soup_to_mesh(dereference(mesh))``, is therefore freed
+    after the sort on Python 3.11 or later, as ``reindex`` frees a temporary
+    mesh; a soup the caller still holds is kept, and is never modified.
     """
     arr = vertex_rows(soup, "soup", ndim=3)
     m, arity, dim = arr.shape
-    vertices = arr.reshape(m * arity, dim)
     elements = np.arange(m * arity, dtype=np.uint32).reshape(m, arity)
-    # the dummy mesh never leaves this call, so it reads the soup's rows in place
-    return reindex(Mesh._adopt(vertices, elements))[0]
+    # the list is the dummy mesh's only holder here: pop hands it to reindex, whose
+    # drop of its input then releases the soup
+    held = [Mesh._adopt(arr.reshape(m * arity, dim), elements)]
+    del soup, arr
+    return reindex(held.pop())[0]
 
 
 def subset(mesh: Mesh, keep) -> Mesh:

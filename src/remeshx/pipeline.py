@@ -30,9 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import (MAX_VERTICES, Mesh, MeshError, flag_array, index_array, size_value,
-                   vertex_bits, vertex_rows)
-from .primitives import BLOCK_ROWS, bitwise_sort_order, inclusive_scan
+from .mesh import (BLOCK_ROWS, MAX_VERTICES, Mesh, MeshError, flag_array, index_array,
+                   size_value, vertex_bits, vertex_rows)
+from .primitives import _sort_order_buffer, inclusive_scan
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,12 +121,20 @@ def compute_sort_permutation(vertices: np.ndarray,
     """Stable bitwise sort; returns (sorted vertices, origin of each sorted slot).
 
     With ``used`` (one bool per row) only the flagged rows are sorted and returned.
+
+    The sort runs in a buffer of ``max(8, 4 * dim)`` bytes per sorted row.  Once
+    the order is copied out, the sorted rows are gathered over the spent words,
+    so the sort and the gather together hold ``4 + max(8, 4 * dim)`` bytes per
+    sorted row, plus temporaries of one ``BLOCK_ROWS`` block.  The sorted rows
+    are a view of that buffer.
     """
     vertices = vertex_rows(vertices, "vertices")
-    org_id = bitwise_sort_order(vertices, used)
+    dim = vertices.shape[1]
+    buffer, n = _sort_order_buffer(vertex_bits(vertices), used, max(2, dim))
+    org_id = buffer[:n].copy()
+    sorted_vtx = buffer[:n * dim].view(np.float32).reshape(n, dim)
     # gather in blocks, so numpy's intp copy of the indices is one block, not n rows
-    sorted_vtx = np.empty((len(org_id), vertices.shape[1]), np.float32)
-    for start in range(0, len(org_id), BLOCK_ROWS):
+    for start in range(0, n, BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)
         # org_id holds distinct row ids, so "clip" never clips; it skips numpy's buffered out copy
         np.take(vertices, org_id[block], axis=0, out=sorted_vtx[block], mode="clip")

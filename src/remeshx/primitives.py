@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MAX_VERTICES, MeshError, flag_array, vertex_bits
-
-# rows per block of the sort's word building and composing, and of the sorted-row gather
-BLOCK_ROWS = 1 << 16
+from .mesh import BLOCK_ROWS, MAX_VERTICES, MeshError, flag_array, vertex_bits
 
 
 def bitwise_sort_order(keys: np.ndarray, used: np.ndarray | None = None) -> np.ndarray:
@@ -37,22 +34,44 @@ def bitwise_sort_order(keys: np.ndarray, used: np.ndarray | None = None) -> np.n
     order, 12 bytes per sorted row, plus temporaries of one block of
     ``BLOCK_ROWS`` rows.  The words are built a block at a time, so no
     full-length gathered column or position array exists.  The composed order
-    is written, block by block, into the front of the word buffer viewed as
-    uint32: block k overwrites only ranks that blocks before it have read, and
-    block 0 reads its ranks before it writes.
+    is written, block by block, into the front of the word buffer, and the
+    result is copied out of it.
     """
-    bits = vertex_bits(keys)
+    buffer, n_sorted = _sort_order_buffer(vertex_bits(keys), used, 2)
+    return buffer[:n_sorted].copy()
+
+
+def _sort_order_buffer(bits: np.ndarray, used: np.ndarray | None,
+                       row_words: int) -> tuple[np.ndarray, int]:
+    """The sort of :func:`bitwise_sort_order`, run in a uint32 buffer of ``row_words``
+    (at least 2) words per sorted row; returns the buffer and the sorted row count.
+
+    The order is left in the buffer's first ``n_sorted`` words.  The words of each
+    pass use the buffer's first ``2 * n_sorted`` words, so a caller may size it to
+    hold what it writes over the spent words next.  Each pass copies the order out
+    of the front, builds and sorts its words over the buffer, and writes the
+    composed order back into the front: block k overwrites only ranks that blocks
+    before it have read, and block 0 reads its ranks before it writes.
+    """
     n = len(bits)
     if n >= MAX_VERTICES:
         raise MeshError(f"sort of {n} rows exceeds 32-bit position range")
     if used is not None:
         used = flag_array(used, n, "used flags")
-    word = _last_component_words(bits, used)
+    n_sorted = n if used is None else int(np.count_nonzero(used))
+    buffer = np.empty(n_sorted * row_words, np.uint32)
+    word, front = buffer[:2 * n_sorted].view(np.uint64), buffer[:n_sorted]
+    _last_component_words(bits, used, word)
     word.sort()
-    # the cast to uint32 truncates, so it reads the row ids in the low halves unmasked
-    order = word.astype(np.uint32)
-    n_sorted = len(word)
+    # the cast to uint32 truncates, so it reads the row ids in the low halves unmasked.
+    # Block k >= 1 writes over words below k * BLOCK_ROWS, which earlier blocks have
+    # read; numpy buffers block 0's overlap with its own words.
+    for start in range(0, n_sorted, BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        front[block] = word[block]
     for c in range(bits.shape[1] - 2, -1, -1):
+        # the next words are written over the order, so the pass reads a copy of it
+        order = front.copy()
         for start in range(0, n_sorted, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, n_sorted)
             # shifts, not a view of the words' uint32 halves, keep this byte-order free
@@ -65,26 +84,25 @@ def bitwise_sort_order(keys: np.ndarray, used: np.ndarray | None = None) -> np.n
         # over bytes that hold the ranks below (k + 1) * BLOCK_ROWS / 2 <= k * BLOCK_ROWS
         # for k >= 1, which earlier blocks have already read; block 0 reads its own
         # ranks in full (np.take returns a new array) before it writes.
-        ranks, front = word.view(np.int64), word.view(np.uint32)[:n_sorted]
+        ranks = word.view(np.int64)
         for start in range(0, n_sorted, BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
             front[block] = np.take(order, ranks[block], mode="clip")
-        # drop the old order before the copy out, so the buffer and one order are all that
-        # is held; the next pass writes its words over the buffer
+        # drop this pass's order before the next copies one out, so the buffer and one
+        # order are all that is held
         del order
-        order = front.copy()
-    return order
+    return buffer, n_sorted
 
 
-def _last_component_words(bits: np.ndarray, used: np.ndarray | None) -> np.ndarray:
-    """First-pass words ``(last component << 32) | row id`` of the flagged rows, in row order.
+def _last_component_words(bits: np.ndarray, used: np.ndarray | None, word: np.ndarray) -> None:
+    """Write the first-pass words ``(last component << 32) | row id`` of the flagged rows,
+    in row order, into ``word``, which holds one uint64 per flagged row.
 
-    The buffer holds one word per flagged row.  It is filled a block of input rows
-    at a time, from the block's flagged row ids, so an unused row never gets a word.
-    Being a function of its own, it frees the last block's temporaries before the sort.
+    The words are built a block of input rows at a time, from the block's flagged
+    row ids, so an unused row never gets a word.  Being a function of its own, it
+    frees the last block's temporaries before the sort.
     """
     n = len(bits)
-    word = np.empty(n if used is None else np.count_nonzero(used), np.uint64)
     filled = 0
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
@@ -99,7 +117,6 @@ def _last_component_words(bits: np.ndarray, used: np.ndarray | None) -> np.ndarr
         # the unsafe cast only reinterprets the non-negative intp row ids as uint64
         np.bitwise_or(out, rows, out=out, dtype=np.uint64, casting="unsafe")
         filled += len(rows)
-    return word
 
 
 def inclusive_scan(flags: np.ndarray) -> np.ndarray:

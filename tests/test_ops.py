@@ -1,10 +1,43 @@
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
 from remeshx import (Mesh, MeshError, RandomMeshSpec, bitwise_equal,
                      dereference, merge, random_mesh, reindex, soup_to_mesh,
                      soups_equal, subset)
+from remeshx import pipeline
 from conftest import A, B, C, D, elems, traced_peak, vtx
+
+
+FREED_AFTER_THE_SORT_NEEDS_3_11 = pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before Python 3.11 the calling frame keeps the argument alive for the whole "
+           "call, so reindex cannot free it")
+
+
+def tri_soup_mesh():
+    """2^16 random dim-3 triangles with no unused vertex: the soup op's benchmark input,
+    smaller.  The soup spans several ``BLOCK_ROWS`` blocks, so a full-length temporary
+    shows in a traced peak; at 2^12 triangles a single block hides it.
+    """
+    n_tris = 1 << 16
+    return random_mesh(RandomMeshSpec(seed=3, n_base_vertices=n_tris // 2, n_elements=n_tris,
+                                      dup_fraction=0.0, unused_fraction=0.0,
+                                      coord_pool_size=256, dim=3))
+
+
+def spy_on_the_scan(monkeypatch, owners):
+    """Patch the scan step to record, per reindex call, whether ``owners[-1]`` is alive."""
+    alive = []
+
+    def spy(nodup, real=pipeline.compute_new_indices):
+        alive.append(owners[-1]() is not None)
+        return real(nodup)
+
+    monkeypatch.setattr(pipeline, "compute_new_indices", spy)
+    return alive
 
 
 def quad(x0, y0):
@@ -28,6 +61,24 @@ def test_merge_two_quads_sharing_an_edge():
 def test_merge_empties():
     merged = merge([Mesh.empty(), Mesh.empty()])
     assert merged.n_vertices == 0 and merged.n_elements == 0
+
+
+@FREED_AFTER_THE_SORT_NEEDS_3_11
+def test_merge_frees_its_concatenation_after_the_sort(monkeypatch):
+    pieces = [random_mesh(RandomMeshSpec(seed=s, n_elements=30)) for s in range(3)]
+    owners = []
+
+    def sort_spy(vertices, used=None, real=pipeline.compute_sort_permutation):
+        owners.append(weakref.ref(vertices.base))
+        return real(vertices, used)
+
+    monkeypatch.setattr(pipeline, "compute_sort_permutation", sort_spy)
+    alive = spy_on_the_scan(monkeypatch, owners)
+    merged = merge(pieces)
+    # the stacked vertex rows are gone before the scan
+    assert alive == [False]
+    expected = np.vstack([dereference(m) for m in pieces])
+    assert soups_equal(dereference(merged), expected)
 
 
 def test_merge_rejects_mixed_arity():
@@ -129,6 +180,46 @@ def test_soup_to_mesh_allocates_no_copy_of_the_soup():
     soup = np.random.default_rng(11).integers(0, 4, size=(1 << 16, 4, 4)).astype(np.float32)
     peak = traced_peak(soup_to_mesh, soup)
     assert peak <= 2.5 * soup.nbytes, f"peak {peak / soup.nbytes:.2f}x the soup"
+
+
+def test_dereference_holds_one_block_of_indices_beyond_the_soup():
+    # a gather in BLOCK_ROWS blocks of corners: 1.22x the soup, where one np.take of
+    # every corner also copies the indices to intp, 8 B per corner, for 1.67x
+    mesh = tri_soup_mesh()
+    soup_bytes = mesh.n_elements * mesh.arity * mesh.dim * 4
+    peak = traced_peak(dereference, mesh)
+    assert peak <= 1.3 * soup_bytes, f"peak {peak / soup_bytes:.2f}x the soup"
+
+
+@FREED_AFTER_THE_SORT_NEEDS_3_11
+def test_soup_op_frees_the_soup_after_the_sort():
+    # the soup CLI op: dereference, then soup_to_mesh of the temporary soup.  With the
+    # soup freed after the sort the peak is 2.97x the soup; kept alive, it is 3.44x
+    mesh = tri_soup_mesh()
+    soup_bytes = mesh.n_elements * mesh.arity * mesh.dim * 4
+    peak = traced_peak(lambda: soup_to_mesh(dereference(mesh)))
+    assert peak <= 3.2 * soup_bytes, f"peak {peak / soup_bytes:.2f}x the soup"
+
+
+@FREED_AFTER_THE_SORT_NEEDS_3_11
+def test_soup_to_mesh_frees_a_temporary_soup_before_the_scan(monkeypatch):
+    mesh = random_mesh(RandomMeshSpec(seed=5, n_elements=200, dim=3))
+    owners = []
+
+    def soup():
+        out = dereference(mesh)
+        owners.append(weakref.ref(out))
+        return out
+
+    alive = spy_on_the_scan(monkeypatch, owners)
+    out = soup_to_mesh(soup())
+    held = soup()
+    before = held.copy()
+    again = soup_to_mesh(held)
+    # a temporary soup is gone before the scan; a held one is kept intact
+    assert alive == [False, True]
+    assert np.array_equal(held.view(np.uint32), before.view(np.uint32))
+    assert bitwise_equal(out, again)
 
 
 def test_soup_to_mesh_leaves_the_callers_soup_writeable_and_unchanged():

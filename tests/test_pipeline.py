@@ -12,8 +12,8 @@ from remeshx import (Mesh, MeshError, bitwise_equal, compact_vertices,
                      flag_first_occurrences, grid_quads, invert_permutation, mark_used,
                      overwrite_unused, read_bin, reindex, soups_equal, vertex_bits,
                      write_bin)
-from remeshx import pipeline
-from conftest import A, B, C, D, E, F, elems, vtx
+from remeshx import pipeline, primitives
+from conftest import A, B, C, D, E, F, elems, traced_peak, vtx
 
 
 # float32 bit patterns that a float comparison or conversion could lose: signed
@@ -107,6 +107,21 @@ def test_sort_permutation_of_used_rows_worked(worked_mesh):
                                                   mark_used(worked_mesh))
     assert sorted_vtx.tolist() == vtx(A, B, C, C, D, D, E, F).tolist()
     assert org_id.tolist() == [0, 1, 2, 5, 4, 9, 6, 7]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_sort_permutation_across_block_boundaries(monkeypatch, dim):
+    # the rows are gathered over the sort's spent words, a block at a time
+    for module in (pipeline, primitives):
+        monkeypatch.setattr(module, "BLOCK_ROWS", 3)
+    rng = np.random.default_rng(dim)
+    vertices = rng.integers(0, 3, size=(23, dim)).astype(np.float32)
+    for used in (None, rng.random(23) < 0.7):
+        rows = np.arange(23) if used is None else np.flatnonzero(used)
+        want = rows[np.lexsort(vertex_bits(vertices)[rows].T[::-1])]
+        sorted_vtx, org_id = compute_sort_permutation(vertices, used)
+        assert org_id.tolist() == want.tolist()
+        assert np.array_equal(vertex_bits(sorted_vtx), vertex_bits(vertices)[want])
 
 
 def test_flag_first_occurrences_worked():
@@ -266,6 +281,21 @@ def test_reindex_frees_a_temporary_input_after_the_sort(tmp_path, monkeypatch):
     assert np.array_equal(held.vertices.view(np.uint32), rows.view(np.uint32))
     assert np.array_equal(held.elements, elements)
     assert bitwise_equal(out, again)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sort_permutation_gathers_the_rows_over_the_spent_sort_words(dim, masked):
+    # the sort runs in a buffer of max(8, 4 * dim) bytes per sorted row and the order
+    # is copied out of it (4 bytes) before the sorted rows are gathered over the words
+    n = 1 << 20
+    rng = np.random.default_rng(dim)
+    keys = rng.integers(0, 256, size=(n, dim)).astype(np.float32)
+    used = rng.random(n) < 0.8 if masked else None
+    n_sorted = np.count_nonzero(used) if masked else n
+    row_bytes = 4 + max(8, 4 * dim)
+    peak = traced_peak(compute_sort_permutation, keys, used)
+    assert peak <= row_bytes * n_sorted + (1 << 20), f"{peak / n_sorted:.2f} bytes per row"
 
 
 def hand_run_chain(mesh):
