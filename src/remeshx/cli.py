@@ -84,27 +84,23 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _cmd_reindex(args) -> int:
-    out, _ = reindex(_load(args.input, args))
+def _write_result(out: Mesh, args) -> int:
     _save(out, args.output, args)
     _say(args, f"{args.output}: {out.n_vertices} vertices, {out.n_elements} elements")
     return 0
+
+
+def _cmd_reindex(args) -> int:
+    return _write_result(reindex(_load(args.input, args))[0], args)
 
 
 def _cmd_merge(args) -> int:
-    meshes = [_load(p, args) for p in args.inputs]
-    out = merge(meshes)
-    _save(out, args.output, args)
-    _say(args, f"{args.output}: {out.n_vertices} vertices, {out.n_elements} elements")
-    return 0
+    return _write_result(merge([_load(p, args) for p in args.inputs]), args)
 
 
 def _cmd_soup(args) -> int:
     from .mesh import dereference
-    out = soup_to_mesh(dereference(_load(args.input, args)))
-    _save(out, args.output, args)
-    _say(args, f"{args.output}: {out.n_vertices} vertices, {out.n_elements} elements")
-    return 0
+    return _write_result(soup_to_mesh(dereference(_load(args.input, args))), args)
 
 
 def _cmd_subset(args) -> int:
@@ -121,10 +117,7 @@ def _cmd_subset(args) -> int:
         keep = np.zeros(mesh.n_elements, dtype=bool)
         for lo, hi in args.keep:
             keep[lo:hi + 1] = True
-    out = subset(mesh, keep)
-    _save(out, args.output, args)
-    _say(args, f"{args.output}: {out.n_vertices} vertices, {out.n_elements} elements")
-    return 0
+    return _write_result(subset(mesh, keep), args)
 
 
 def _cmd_gen(args) -> int:

@@ -16,6 +16,7 @@ element's vertices by value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,15 +76,23 @@ def flag_array(values, length: int, what: str) -> np.ndarray:
 
 
 class InvalidMeshError(MeshError):
-    """Some element index is not below the mesh's vertex count."""
+    """Some element index is not below the mesh's vertex count.
 
-    def __init__(self, issues):
-        self.issues = list(issues)
-        first = self.issues[0]
+    The bad slots are kept as three arrays (element, slot and index of each, in
+    row-major order); the message needs only their count and the first one, so
+    the :class:`Issue` records are built when ``issues`` is first read.
+    """
+
+    def __init__(self, element: np.ndarray, slot: np.ndarray, index: np.ndarray):
+        self._bad_slots = (element, slot, index)
         super().__init__(
-            f"{len(self.issues)} out-of-range index(es); first: element "
-            f"{first.element} slot {first.slot} references vertex {first.index}"
+            f"{len(index)} out-of-range index(es); first: element "
+            f"{element[0]} slot {slot[0]} references vertex {index[0]}"
         )
+
+    @cached_property
+    def issues(self) -> list[Issue]:
+        return [Issue(*bad) for bad in zip(*(a.tolist() for a in self._bad_slots))]
 
 
 @dataclass(frozen=True)
@@ -117,8 +126,8 @@ class Mesh:
         if len(vertices) >= MAX_VERTICES:
             raise MeshError(f"vertex count {len(vertices)} exceeds 32-bit index range")
         if elements.size and int(elements.max()) >= len(vertices):
-            raise InvalidMeshError(Issue(int(e), int(s), int(elements[e, s]))
-                                   for e, s in np.argwhere(elements >= len(vertices)))
+            element, slot = np.nonzero(elements >= len(vertices))
+            raise InvalidMeshError(element, slot, elements[element, slot])
         # freeze each owner and keep a view of it: numpy refuses to make that view writeable
         for name, array in (("vertices", vertices), ("elements", elements)):
             array.flags.writeable = False

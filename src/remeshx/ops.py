@@ -69,20 +69,21 @@ def subset(mesh: Mesh, keep) -> Mesh:
     """Compact mesh of the selected elements only.
 
     ``keep`` is either a boolean mask (one entry per element) or a strictly
-    ascending list of element positions.  The selected elements share the
-    source's read-only vertex array, and re-indexing removes what is now unused.
+    ascending list of element positions; either one indexes the element array
+    directly, and both select the elements in source order.  The selected
+    elements share the source's read-only vertex array, and re-indexing
+    removes what is now unused.
     """
-    mask = _normalize_selector(keep, mesh.n_elements)
-    return reindex(Mesh._adopt(mesh.vertices, mesh.elements[mask]))[0]
+    selector = _checked_selector(keep, mesh.n_elements)
+    return reindex(Mesh._adopt(mesh.vertices, mesh.elements[selector]))[0]
 
 
-def _normalize_selector(keep, n_elements: int) -> np.ndarray:
+def _checked_selector(keep, n_elements: int) -> np.ndarray:
+    """``keep`` as a bool mask of ``n_elements`` entries, or as strictly ascending positions."""
     sel = np.asarray(keep)
     if sel.dtype == bool:
         return flag_array(sel, n_elements, "element mask")
     sel = index_array(sel, n_elements, "selector position", ndim=1)
-    if sel.size > 1 and not np.all(sel[1:] > sel[:-1]):
+    if not np.all(sel[1:] > sel[:-1]):
         raise MeshError("selector positions must be strictly ascending and unique")
-    mask = np.zeros(n_elements, dtype=bool)
-    mask[sel] = True
-    return mask
+    return sel

@@ -45,8 +45,9 @@ class ReindexScratch:
     unused vertex with vertex ``elements[0, 0]`` (new index
     ``replacement_idx``), so the stable sort puts the unused vertices, in
     ascending position, into that vertex's run of equal rows.  When every
-    vertex is used they are the ``used_*`` arrays themselves.  For a mesh
-    with zero elements all arrays except ``is_used`` are empty.  Records
+    vertex is used they are the ``used_*`` arrays themselves.  A mesh with
+    zero elements has no used vertex and no ``elements[0, 0]``: every array
+    except ``is_used`` is empty, and ``replacement_idx`` is 0.  Records
     compare and hash by identity.
     """
 
@@ -103,16 +104,15 @@ def mark_used(mesh: Mesh) -> np.ndarray:
 
 def overwrite_unused(vertices: np.ndarray, is_used: np.ndarray,
                      replacement: np.ndarray) -> np.ndarray:
-    """Copy of ``vertices`` with every unused slot replaced by ``replacement``."""
+    """C-ordered copy of ``vertices`` with every unused row replaced by ``replacement``,
+    written as one boolean row assignment."""
     vertices = vertex_rows(vertices, "vertices")
     replacement = vertex_rows(replacement, "replacement", ndim=1)
     is_used = flag_array(is_used, len(vertices), "used flags")
     if replacement.shape != vertices.shape[1:]:
         raise MeshError(f"replacement of shape {replacement.shape} for vertices {vertices.shape}")
     out = np.array(vertices, order="C")
-    # one void item per row turns the row assignment into a 1-D masked byte copy
-    row = np.dtype((np.void, out.itemsize * out.shape[1]))
-    np.putmask(out.view(row).reshape(-1), ~is_used, np.ascontiguousarray(replacement).view(row))
+    out[~is_used] = replacement
     return out
 
 
@@ -145,11 +145,10 @@ def flag_first_occurrences(sorted_vtx: np.ndarray) -> np.ndarray:
     """True where a sorted vertex differs bitwise from its predecessor."""
     bits = vertex_bits(sorted_vtx)
     nodup = np.ones(len(bits), dtype=bool)
-    if len(bits) > 1:
-        later = nodup[1:]
-        later[:] = False
-        for column in bits.T:
-            later |= column[1:] != column[:-1]
+    later = nodup[1:]
+    later[:] = False
+    for column in bits.T:
+        later |= column[1:] != column[:-1]
     return nodup
 
 
@@ -171,7 +170,9 @@ def compact_vertices(sorted_vtx: np.ndarray, nodup: np.ndarray,
 
     With the scan positions of :func:`compute_new_indices` this is the paper's
     scatter of survivors to ``new_idx``; any other ``new_idx`` or ``new_count``
-    raises ``MeshError``.
+    raises ``MeshError``.  The rows are checked and compacted ``BLOCK_ROWS``
+    sorted rows at a time into the output, so beyond it only one block's
+    temporaries are held.
     """
     sorted_vtx = vertex_rows(sorted_vtx, "sorted vertices")
     nodup = flag_array(nodup, len(sorted_vtx), "first-occurrence flags")
@@ -181,9 +182,18 @@ def compact_vertices(sorted_vtx: np.ndarray, nodup: np.ndarray,
     n_flags = np.count_nonzero(nodup)
     if size_value(new_count, "new vertex count") != n_flags:
         raise MeshError(f"new vertex count {new_count} for {n_flags} first occurrences")
-    if not np.array_equal(np.compress(nodup, new_idx), np.arange(n_flags)):
-        raise MeshError("flagged new indices must run 0, 1, ..., new_count - 1")
-    return np.compress(nodup, sorted_vtx, axis=0)
+    out = np.empty((n_flags, sorted_vtx.shape[1]), np.float32)
+    offset = 0
+    for start in range(0, len(nodup), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        rows = np.flatnonzero(nodup[block])
+        stop = offset + len(rows)
+        if not np.array_equal(new_idx[block][rows], np.arange(offset, stop)):
+            raise MeshError("flagged new indices must run 0, 1, ..., new_count - 1")
+        # rows are in range, so "clip" never clips; it skips numpy's buffered out copy
+        np.take(sorted_vtx[block], rows, axis=0, out=out[offset:stop], mode="clip")
+        offset = stop
+    return out
 
 
 def invert_permutation(org_id: np.ndarray) -> np.ndarray:
@@ -204,8 +214,9 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
     """Remove duplicate and unused vertices; returns the new mesh and all intermediates.
 
     The output has vertices in bitwise-sorted order, the same element count
-    and arity, and an identical soup.  A mesh with zero elements collapses to
-    the empty mesh (every vertex is unused).
+    and arity, and an identical soup.  A mesh with zero elements takes the
+    same steps: it has no used vertex, so the sort, scan and compaction run
+    over zero rows, and the result is the empty mesh of its dim and arity.
 
     The input's vertex rows are last read by the sort, after which ``reindex``
     holds only the element indices.  Passing a temporary, as in
@@ -214,11 +225,6 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
     alive until the call returns.
     """
     is_used = mark_used(mesh)
-    if mesh.n_elements == 0:
-        empty_u32 = np.empty(0, np.uint32)
-        scratch = ReindexScratch(is_used, 0, empty_u32, np.empty(0, bool), empty_u32, 0)
-        return Mesh.empty(dim=mesh.dim, arity=mesh.arity), scratch
-
     # the unused rows are left out of the sort rather than overwritten into duplicates;
     # ReindexScratch puts them back where the paper's step 1 would have sorted them
     sorted_vtx, org_id = compute_sort_permutation(
@@ -235,6 +241,6 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
     table = np.empty(n_vertices, np.uint32)
     table[org_id] = new_idx
     scratch = ReindexScratch(is_used, new_count, org_id, nodup, new_idx,
-                             int(table[elements[0, 0]]))
+                             int(table[elements[0, 0]]) if len(elements) else 0)
     # both arrays are fresh and referenced nowhere else, so the mesh adopts them uncopied
     return Mesh._adopt(new_vtx, table[elements]), scratch

@@ -1,7 +1,9 @@
 """Golden output digests: the sha256 of the RMX1 bytes each op writes.
 
 The digests were recorded from the pipeline as of commit dd5b304, before the
-sort and the soup, merge and subset ops stopped copying their inputs.  Any
+sort and the soup, merge and subset ops stopped copying their inputs;
+``zero_elements`` was recorded at commit 7f4bd61, before ``reindex`` stopped
+returning early for a mesh with no elements.  Any
 change to the output order, the vertex bits or the element indices changes
 a digest, so these pin byte-identical output across refactors and numpy
 versions.
@@ -41,6 +43,8 @@ CASES = {
     "merge": lambda: merge([random_mesh(RandomMeshSpec(seed=s, arity=4, dim=3))
                             for s in range(5)]),
     "subset": lambda: subset(grid_quads(32), np.arange(0, 32 * 32, 3)),
+    "zero_elements": lambda: reindexed(Mesh(np.random.default_rng(5).integers(
+        -2, 3, size=(5, 3)).astype(np.float32), np.empty((0, 4), np.uint32))),
 }
 
 GOLDEN = {
@@ -58,6 +62,7 @@ GOLDEN = {
     "soup801": "6001a44a22cbd190fa30760735cd3a61d0b97236b04a585b7abcc987b0e14a02",
     "subset": "c71349ebe3fb59746c191261fac33494e1844573b20760e5ddb69eec746eebae",
     "worked": "342df151c85b5e9ab8585003367124681defa4544ae36a131729872b029926ba",
+    "zero_elements": "a66fc9198fe31aa3fc2caca541bb2c2425659bf0657893960c82f6f341149f35",
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 import remeshx
 from remeshx import (InvalidMeshError, Issue, Mesh, MeshError, bitwise_equal, dereference,
                      read_bin, read_obj, reindex, vertex_bits, write_bin, write_obj)
-from conftest import A, B, C, D, E, F, elems, feed_fifo, vtx
+from conftest import A, B, C, D, E, F, elems, feed_fifo, traced_peak, vtx
 
 
 def test_validate_empty_mesh():
@@ -29,6 +29,26 @@ def test_validate_reports_every_bad_slot():
     with pytest.raises(InvalidMeshError) as err:
         Mesh(vtx((0, 0)), elems((0, 5, 7), (9, 0, 0)))
     assert err.value.issues == [Issue(0, 1, 5), Issue(0, 2, 7), Issue(1, 0, 9)]
+
+
+def test_invalid_mesh_error_keeps_the_bad_slots_as_arrays():
+    # 2^18 bad slots: the error holds index arrays, not one Issue object per slot
+    n_bad = 1 << 18
+    elements = np.full((n_bad // 4, 4), 7, np.uint32)
+    elements[0, 0] = 0
+
+    def build():
+        with pytest.raises(InvalidMeshError) as err:
+            Mesh(vtx((0, 0)), elements)
+        return err.value
+
+    peak = traced_peak(build)
+    assert peak <= 40 * n_bad, f"{peak / n_bad:.1f} bytes per bad slot"
+    error = build()
+    assert str(error) == (f"{n_bad - 1} out-of-range index(es); "
+                          "first: element 0 slot 1 references vertex 7")
+    assert len(error.issues) == n_bad - 1
+    assert error.issues[0] == Issue(0, 1, 7) and error.issues[-1] == Issue(n_bad // 4 - 1, 3, 7)
 
 
 def test_dereference_worked_mesh(worked_mesh):

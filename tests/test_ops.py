@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from remeshx import (Mesh, MeshError, RandomMeshSpec, bitwise_equal,
-                     dereference, merge, random_mesh, reindex, soup_to_mesh,
+                     dereference, mark_used, merge, random_mesh, reindex, soup_to_mesh,
                      soups_equal, subset)
-from remeshx import pipeline
+from remeshx import ops, pipeline
 from conftest import A, B, C, D, elems, traced_peak, vtx
 
 
@@ -143,6 +143,42 @@ def test_subset_all(worked_mesh):
 def test_subset_none(worked_mesh):
     out = subset(worked_mesh, np.zeros(4, bool))
     assert out.n_vertices == 0 and out.n_elements == 0
+
+
+ZERO_ELEMENT_OPS = ["reindex", "merge", "subset_mask", "subset_positions", "soup"]
+
+
+@pytest.mark.parametrize("op, n_vertices", [(op, n) for op in ZERO_ELEMENT_OPS for n in (0, 5)
+                                            if not (op == "soup" and n)])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_zero_elements_run_the_main_chain(dim, arity, op, n_vertices, monkeypatch):
+    # an empty soup has no vertices, so soup runs with 0 only
+    rng = np.random.default_rng(100 * dim + 10 * arity + n_vertices)
+    vertices = rng.integers(-2, 3, size=(n_vertices, dim)).astype(np.float32)
+    source = Mesh(vertices, rng.integers(0, max(n_vertices, 1),
+                                         size=(3 if n_vertices else 0, arity)))
+    bare = Mesh(vertices, np.empty((0, arity), np.uint32))
+    calls = []
+
+    def recording_reindex(mesh):
+        out, scratch = reindex(mesh)
+        calls.append((mark_used(mesh), scratch))
+        return out, scratch
+
+    monkeypatch.setattr(ops, "reindex", recording_reindex)
+    run = {"reindex": lambda: recording_reindex(bare)[0],
+           "merge": lambda: merge([bare]),
+           "subset_mask": lambda: subset(source, np.zeros(source.n_elements, bool)),
+           "subset_positions": lambda: subset(source, []),
+           "soup": lambda: soup_to_mesh(np.empty((0, arity, dim), np.float32))}[op]
+    out = run()
+    assert bitwise_equal(out, Mesh.empty(dim, arity))
+    [(is_used, scratch)] = calls
+    assert scratch.new_count == 0
+    for array in (scratch.org_id, scratch.nodup, scratch.new_idx, scratch.perm):
+        assert array.size == 0
+    assert np.array_equal(scratch.is_used, is_used)
 
 
 def test_subset_worked_first_two(worked_mesh):

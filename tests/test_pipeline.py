@@ -27,7 +27,7 @@ def cleaned_worked_vertices():
 
 
 def overwrite_by_boolean_rows(vertices, is_used, replacement):
-    """The former step-1 kernel: a 2-D boolean row assignment on a copy."""
+    """The reference step-1 kernel: a 2-D boolean row assignment on a copy."""
     out = np.array(vertices, np.float32)
     out[~np.asarray(is_used)] = replacement
     return out
@@ -160,6 +160,20 @@ def test_compact_vertices_worked():
     new_idx = np.array([0, 0, 0, 1, 2, 2, 3, 3, 4, 5], np.uint32)
     out = compact_vertices(sorted_vtx, nodup, new_idx, 6)
     assert out.tolist() == vtx(A, B, C, D, E, F).tolist()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_compact_vertices_holds_the_output_and_one_block(dim):
+    # every kept row is followed by a duplicate, so the flagged offset carries across blocks
+    kept = 1 << 20
+    rows = np.arange(kept * dim, dtype=np.float32).reshape(kept, dim)
+    sorted_vtx = np.repeat(rows, 2, axis=0)
+    nodup = flag_first_occurrences(sorted_vtx)
+    new_idx, new_count = compute_new_indices(nodup)
+    assert new_count == kept
+    peak = traced_peak(compact_vertices, sorted_vtx, nodup, new_idx, new_count)
+    assert peak <= 4 * dim * kept + (2 << 20), f"{peak / kept:.2f} bytes per kept row"
+    assert np.array_equal(compact_vertices(sorted_vtx, nodup, new_idx, new_count), rows)
 
 
 def test_compact_mask_is_optional():
