@@ -11,7 +11,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import fileio
-from .mesh import InvalidMeshError, Mesh, MeshError
+from .mesh import BLOCK_ROWS, InvalidMeshError, Mesh, MeshError
 from .ops import merge, soup_to_mesh, subset
 from .pipeline import reindex
 
@@ -141,10 +141,13 @@ def _cmd_validate(args) -> int:
     try:
         _load(args.input, args)
     except InvalidMeshError as exc:
-        for issue in exc.issues:
-            print(f"element {issue.element} slot {issue.slot}: "
-                  f"index {issue.index} out of range", file=sys.stderr)
-        _say(args, f"{args.input}: {len(exc.issues)} issue(s)")
+        # BLOCK_ROWS lines per % format, straight from the error's arrays
+        line = "element %d slot %d: index %d out of range\n"
+        for start in range(0, len(exc.index), BLOCK_ROWS):
+            block = np.stack([a[start:start + BLOCK_ROWS]
+                              for a in (exc.element, exc.slot, exc.index)], axis=1)
+            sys.stderr.write(line * len(block) % tuple(block.ravel().tolist()))
+        _say(args, f"{args.input}: {len(exc.index)} issue(s)")
         return 1
     _say(args, f"{args.input}: OK")
     return 0

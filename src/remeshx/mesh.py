@@ -78,10 +78,16 @@ def flag_array(values, length: int, what: str) -> np.ndarray:
 class InvalidMeshError(MeshError):
     """Some element index is not below the mesh's vertex count.
 
-    The bad slots are kept as three arrays (element, slot and index of each, in
-    row-major order); the message needs only their count and the first one, so
-    the :class:`Issue` records are built when ``issues`` is first read.
+    The bad slots are kept as three read-only array attributes, ``element``,
+    ``slot`` and ``index``, one entry per bad slot in row-major order.  The
+    message needs only their count and the first one, so the :class:`Issue`
+    records are built when ``issues`` is first read.  Pickling carries the
+    three arrays.
     """
+
+    element = property(lambda self: self._bad_slots[0])
+    slot = property(lambda self: self._bad_slots[1])
+    index = property(lambda self: self._bad_slots[2])
 
     def __init__(self, element: np.ndarray, slot: np.ndarray, index: np.ndarray):
         self._bad_slots = (element, slot, index)
@@ -89,6 +95,9 @@ class InvalidMeshError(MeshError):
             f"{len(index)} out-of-range index(es); first: element "
             f"{element[0]} slot {slot[0]} references vertex {index[0]}"
         )
+
+    def __reduce__(self):
+        return type(self), self._bad_slots
 
     @cached_property
     def issues(self) -> list[Issue]:

@@ -12,10 +12,10 @@ every element index through that table.
 :func:`reindex` marks the used vertices but does not overwrite the others:
 steps 2 to 4 run over the used vertices alone, since the overwritten ones
 would only be removed again.  :func:`overwrite_unused` remains the paper's
-step 1 for running the steps by hand.  All intermediates are returned in
-:class:`ReindexScratch`, which rebuilds the paper's full-length arrays
-exactly when they are first read, so they can be inspected and asserted on
-directly.
+step 1 for running the steps by hand.  :func:`reindex` keeps step 4's table
+and returns it in :class:`ReindexScratch`, which rebuilds the paper's
+full-length arrays from it exactly when they are first read, so they can be
+inspected and asserted on directly.
 
 :func:`reindex` reads the input's vertex rows for the last time in the sort
 and then drops its reference to the input mesh.  On Python 3.11 or later, a
@@ -32,62 +32,50 @@ import numpy as np
 
 from .mesh import (BLOCK_ROWS, MAX_VERTICES, Mesh, MeshError, flag_array, index_array,
                    size_value, vertex_bits, vertex_rows)
-from .primitives import _sort_order_buffer, inclusive_scan
+from .primitives import _sort_order_buffer, bitwise_sort_order, inclusive_scan
 
 
 @dataclass(frozen=True, eq=False)
 class ReindexScratch:
     """Intermediate arrays of one pipeline run.
 
-    The ``used_*`` fields hold the arrays of ``reindex``'s sort of the used
-    vertices.  ``org_id``, ``nodup`` and ``new_idx`` are the paper's arrays,
-    one entry per input vertex, built on first access: step 1 overwrites each
-    unused vertex with vertex ``elements[0, 0]`` (new index
-    ``replacement_idx``), so the stable sort puts the unused vertices, in
-    ascending position, into that vertex's run of equal rows.  When every
-    vertex is used they are the ``used_*`` arrays themselves.  A mesh with
-    zero elements has no used vertex and no ``elements[0, 0]``: every array
-    except ``is_used`` is empty, and ``replacement_idx`` is 0.  Records
-    compare and hash by identity.
+    ``table`` is step 4's table: the new index of each used vertex, and 0 at
+    each unused one.  ``org_id``, ``nodup`` and ``new_idx`` are the paper's
+    arrays, one entry per input vertex, built on first access from the table:
+    step 1 overwrites each unused vertex with vertex ``elements[0, 0]`` (new
+    index ``replacement_idx``), and the stable sort of the table with that
+    index filled in is the stable sort of the overwritten rows.  A mesh with
+    zero elements has no used vertex and no ``elements[0, 0]``: ``table`` is
+    all 0, ``org_id``, ``nodup`` and ``new_idx`` are empty, and
+    ``replacement_idx`` is 0.  Records compare and hash by identity.
     """
 
     is_used: np.ndarray       # bool, one per input vertex
     new_count: int
-    used_org_id: np.ndarray   # uint32, one per sorted used vertex
-    used_nodup: np.ndarray    # bool, one per sorted used vertex
-    used_new_idx: np.ndarray  # uint32, one per sorted used vertex
+    table: np.ndarray         # uint32, one per input vertex: new index if used, else 0
     replacement_idx: int      # new index of vertex elements[0, 0]; 0 with no elements
 
-    @cached_property
-    def _full(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(org_id, nodup, new_idx)``: the used arrays with the replacement's run widened."""
-        used = (self.used_org_id, self.used_nodup, self.used_new_idx)
-        if len(self.used_org_id) == len(self.is_used) or not self.new_count:
-            return used  # every vertex is used, or there are no elements and nothing is
-        k = self.replacement_idx
-        start, stop = np.searchsorted(self.used_new_idx, [k, k + 1])
-        unused = np.flatnonzero(~self.is_used).astype(np.uint32)
-        # both parts ascend and are disjoint, so their sorted union is the stable order
-        org_run = np.sort(np.concatenate([self.used_org_id[start:stop], unused]))
-        nodup_run = np.zeros(len(org_run), bool)
-        nodup_run[0] = True
-        runs = (org_run, nodup_run, np.full(len(org_run), k, np.uint32))
-        return tuple(np.concatenate([a[:start], run, a[stop:]]) for a, run in zip(used, runs))
+    def _filled(self) -> np.ndarray:
+        """The table with ``replacement_idx`` at the unused vertices; empty with no elements."""
+        if not self.new_count:  # no elements: no vertex is used, and none is sorted
+            return self.table[:0]
+        return np.where(self.is_used, self.table, np.uint32(self.replacement_idx))
 
     @cached_property
     def org_id(self) -> np.ndarray:
         """uint32, one per input vertex: where each sorted vertex came from."""
-        return self._full[0]
-
-    @cached_property
-    def nodup(self) -> np.ndarray:
-        """bool, one per input vertex: True at the first sorted slot of each distinct row."""
-        return self._full[1]
+        # the filled table's stable order, sorted as rows of one uint32 component
+        return bitwise_sort_order(self._filled()[:, None].view(np.float32))
 
     @cached_property
     def new_idx(self) -> np.ndarray:
         """uint32, one per input vertex: the compacted index of each sorted slot."""
-        return self._full[2]
+        return self._filled()[self.org_id]
+
+    @cached_property
+    def nodup(self) -> np.ndarray:
+        """bool, one per input vertex: True at the first sorted slot of each distinct row."""
+        return flag_first_occurrences(self.new_idx[:, None].view(np.float32))
 
     @cached_property
     def perm(self) -> np.ndarray:
@@ -226,7 +214,7 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
     """
     is_used = mark_used(mesh)
     # the unused rows are left out of the sort rather than overwritten into duplicates;
-    # ReindexScratch puts them back where the paper's step 1 would have sorted them
+    # ReindexScratch sorts them back in where the paper's step 1 would have put them
     sorted_vtx, org_id = compute_sort_permutation(
         mesh.vertices, None if is_used.all() else is_used)
     # the vertex rows are not read again: dropping the mesh frees them before the next
@@ -236,11 +224,12 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
     nodup = flag_first_occurrences(sorted_vtx)
     new_idx, new_count = compute_new_indices(nodup)
     new_vtx = compact_vertices(sorted_vtx, nodup, new_idx, new_count)
-    del sorted_vtx  # free the sorted rows before the table and the remap allocate
-    # only the used positions are written: table[elements] never reads another entry
-    table = np.empty(n_vertices, np.uint32)
+    del sorted_vtx, nodup  # free the sorted rows and flags before the table allocates
+    # only the used positions are written; table[elements] never reads the unused zeros
+    table = np.zeros(n_vertices, np.uint32)
     table[org_id] = new_idx
-    scratch = ReindexScratch(is_used, new_count, org_id, nodup, new_idx,
+    del org_id, new_idx  # the table holds what they said: free them before the remap
+    scratch = ReindexScratch(is_used, new_count, table,
                              int(table[elements[0, 0]]) if len(elements) else 0)
     # both arrays are fresh and referenced nowhere else, so the mesh adopts them uncopied
     return Mesh._adopt(new_vtx, table[elements]), scratch

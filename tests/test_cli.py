@@ -1,3 +1,4 @@
+import contextlib
 import os
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 from remeshx import Mesh, read_bin, write_bin, write_obj
 from remeshx.cli import _parse_ranges, main
 from remeshx.fileio import _RMX_HEADER, _RMX_MAGIC
-from conftest import elems, feed_fifo, vtx
+from conftest import elems, feed_fifo, traced_peak, vtx
 
 
 def run(capsys, *args):
@@ -296,3 +297,20 @@ def test_obj_coordinate_beyond_float32_fails_closed(tmp_path, capsys):
     assert "vertex 2" in stderr and "float32" in stderr
     assert not caught and "Warning" not in stderr
     assert not out.exists()
+
+
+def test_validate_formats_the_bad_slots_in_blocks(tmp_path, capsys):
+    # 2^18 bad slots: the lines are formatted in blocks straight from the error's arrays
+    n_bad = 1 << 18
+    bad = tmp_path / "bad.rmx"
+    elements = np.full((n_bad // 4, 4), 7, "<u4")
+    bad.write_bytes(_RMX_HEADER.pack(_RMX_MAGIC, 2, 4, 1, n_bad // 4)
+                    + np.zeros(2, "<f4").tobytes() + elements.tobytes())
+    with open(tmp_path / "err.txt", "w") as err, contextlib.redirect_stderr(err):
+        peak = traced_peak(main, ["validate", str(bad)])
+    assert peak <= 96 * n_bad, f"{peak / n_bad:.1f} bytes per bad slot"
+    lines = (tmp_path / "err.txt").read_text().splitlines()
+    assert len(lines) == n_bad
+    assert lines[0] == "element 0 slot 0: index 7 out of range"
+    assert lines[-1] == f"element {n_bad // 4 - 1} slot 3: index 7 out of range"
+    assert capsys.readouterr().out == f"{bad}: {n_bad} issue(s)\n"

@@ -1,4 +1,5 @@
 import os
+import pickle
 from dataclasses import fields
 
 import numpy as np
@@ -122,7 +123,7 @@ def test_package_made_arrays_are_frozen_and_unshared(tmp_path, worked_mesh):
     out, scratch = reindex(read)
     scratch_arrays = [getattr(scratch, f.name) for f in fields(scratch)
                       if isinstance(getattr(scratch, f.name), np.ndarray)]
-    assert len(scratch_arrays) == 4
+    assert len(scratch_arrays) == 2
     for mesh, others in ((read, [worked_mesh.vertices, worked_mesh.elements]),
                          (out, [read.vertices, read.elements, *scratch_arrays])):
         for own in (mesh.vertices, mesh.elements):
@@ -234,3 +235,17 @@ def test_mesh_accepts_int_lists_and_empty_arrays():
 
 def test_every_export_resolves():
     assert [name for name in remeshx.__all__ if not hasattr(remeshx, name)] == []
+
+
+def test_invalid_mesh_error_survives_pickling():
+    with pytest.raises(InvalidMeshError) as err:
+        Mesh(vtx((0, 0)), elems((0, 5, 7), (9, 0, 0)))
+    error = err.value
+    again = pickle.loads(pickle.dumps(error))
+    assert type(again) is InvalidMeshError and str(again) == str(error)
+    assert again.issues == error.issues == [Issue(0, 1, 5), Issue(0, 2, 7), Issue(1, 0, 9)]
+    for bad in (error, again):
+        assert bad.element.tolist() == [0, 0, 1] and bad.slot.tolist() == [1, 2, 0]
+        assert bad.index.tolist() == [5, 7, 9]
+    with pytest.raises(AttributeError):
+        error.index = np.zeros(3, np.uint32)

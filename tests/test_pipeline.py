@@ -254,8 +254,8 @@ def test_reindex_leaves_perm_to_first_access(worked_mesh):
 
 def test_reindex_leaves_full_scratch_to_first_access(worked_mesh):
     _, scratch = reindex(worked_mesh)
-    assert not {"_full", "org_id", "nodup", "new_idx"} & set(vars(scratch))
-    assert scratch.used_org_id.tolist() == [0, 1, 2, 5, 4, 9, 6, 7]
+    assert not {"org_id", "nodup", "new_idx"} & set(vars(scratch))
+    assert scratch.table.tolist() == [0, 1, 2, 0, 3, 2, 4, 5, 0, 3]
     assert scratch.org_id.tolist() == [0, 3, 8, 1, 2, 5, 4, 9, 6, 7]
     assert scratch.nodup.astype(int).tolist() == [1, 0, 0, 1, 1, 0, 1, 0, 1, 1]
     assert scratch.new_idx.tolist() == [0, 0, 0, 1, 2, 2, 3, 3, 4, 5]
@@ -321,7 +321,7 @@ def hand_run_chain(mesh):
     new_idx, new_count = compute_new_indices(nodup)
     table = np.empty(mesh.n_vertices, np.uint32)
     table[org_id] = new_idx
-    return org_id, nodup, new_idx, new_count, table[mesh.elements]
+    return org_id, nodup, new_idx, new_count, table
 
 
 def mesh_with_unused(dim, unused_fraction, seed):
@@ -344,15 +344,16 @@ def mesh_with_unused(dim, unused_fraction, seed):
 def test_reindex_scratch_equals_the_hand_run_chain(dim, unused_fraction, seed):
     mesh = mesh_with_unused(dim, unused_fraction, 10 * dim + seed)
     out, scratch = reindex(mesh)
-    org_id, nodup, new_idx, new_count, elements = hand_run_chain(mesh)
+    org_id, nodup, new_idx, new_count, table = hand_run_chain(mesh)
     assert np.count_nonzero(~scratch.is_used) == round(unused_fraction * mesh.n_vertices)
-    assert scratch.new_count == new_count and np.array_equal(out.elements, elements)
+    assert scratch.new_count == new_count and np.array_equal(out.elements, table[mesh.elements])
     for got, want in ((scratch.org_id, org_id), (scratch.nodup, nodup),
                       (scratch.new_idx, new_idx), (scratch.perm, invert_permutation(org_id))):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    if not unused_fraction:
-        assert scratch.org_id is scratch.used_org_id and scratch.nodup is scratch.used_nodup
-        assert scratch.new_idx is scratch.used_new_idx
+    # the hand-run table gives the unused vertices the replacement's index; reindex writes 0
+    assert scratch.table.dtype == table.dtype
+    assert np.array_equal(scratch.table[scratch.is_used], table[scratch.is_used])
+    assert not scratch.table[~scratch.is_used].any()
 
 
 def test_reindex_already_compact():
@@ -406,6 +407,23 @@ def test_reindex_peak_allocation_is_under_three_times_the_input():
         if not tracing:
             tracemalloc.stop()
     assert peak <= 3 * input_bytes, f"peak {peak / input_bytes:.2f}x the input"
+
+
+def test_reindex_scratch_holds_the_used_flags_and_the_table():
+    # one bool and one uint32 per input vertex; the lazy arrays are not built
+    n_vertices = grid_quads(256).n_vertices
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out, scratch = reindex(grid_quads(256))
+        del out
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert held <= 5 * n_vertices + (64 << 10), f"{held / n_vertices:.2f} bytes per vertex"
+    assert scratch.table.nbytes + scratch.is_used.nbytes == 5 * n_vertices
 
 
 @st.composite
