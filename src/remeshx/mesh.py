@@ -48,11 +48,27 @@ def index_array(values, bound: int, what: str, ndim: int | None = None) -> np.nd
 
 
 def vertex_rows(values, what: str, ndim: int = 2) -> np.ndarray:
-    """Gate for vertex arguments: a float32 array of ``ndim`` axes, last axis at least 1."""
+    """Gate for vertex arguments: a float32 array of ``ndim`` axes, last axis at least 1.
+
+    Complex values, and finite values that became inf in float32, are refused.  A
+    float32 array passes without a pass over its values."""
     try:
-        rows = np.asarray(values, dtype=np.float32)
-    except (TypeError, ValueError) as exc:
+        rows = np.asarray(values)
+        if rows.dtype.kind not in "fiubc":  # objects and strings are read as float64
+            rows = rows.astype(np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MeshError(f"{what} must be numeric: {exc}") from None
+    if rows.dtype.kind == "c":
+        raise MeshError(f"{what} must be real, got dtype {rows.dtype}")
+    if rows.dtype != np.float32:
+        wide = rows
+        with np.errstate(over="ignore"):  # a finite value that became inf is refused below
+            rows = wide.astype(np.float32)
+        if wide.dtype.kind == "f" and wide.dtype.itemsize > 4:
+            beyond = np.argwhere(np.isinf(rows) & np.isfinite(wide))
+            if len(beyond):
+                where = tuple(int(i) for i in beyond[0])
+                raise MeshError(f"{what} {wide[where]!s} at {where} is beyond float32's range")
     if rows.ndim != ndim or rows.shape[-1] < 1:
         raise MeshError(f"{what} needs {ndim} axes and >= 1 component, got shape {rows.shape}")
     return rows

@@ -110,16 +110,16 @@ def compute_sort_permutation(vertices: np.ndarray,
 
     With ``used`` (one bool per row) only the flagged rows are sorted and returned.
 
-    The sort runs in a buffer of ``max(8, 4 * dim)`` bytes per sorted row.  Once
-    the order is copied out, the sorted rows are gathered over the spent words,
-    so the sort and the gather together hold ``4 + max(8, 4 * dim)`` bytes per
-    sorted row, plus temporaries of one ``BLOCK_ROWS`` block.  The sorted rows
-    are a view of that buffer.
+    The sort runs in a buffer of ``max(8, 4 * dim)`` bytes per sorted row beside
+    its 4-byte order, which is returned as ``org_id``.  The sorted rows are
+    gathered over the spent words, so the sort and the gather together hold
+    ``4 + max(8, 4 * dim)`` bytes per sorted row, plus temporaries of one
+    ``BLOCK_ROWS`` block.  The sorted rows are a view of that buffer.
     """
     vertices = vertex_rows(vertices, "vertices")
     dim = vertices.shape[1]
-    buffer, n = _sort_order_buffer(vertex_bits(vertices), used, max(2, dim))
-    org_id = buffer[:n].copy()
+    org_id, buffer = _sort_order_buffer(vertex_bits(vertices), used, max(2, dim))
+    n = len(org_id)
     sorted_vtx = buffer[:n * dim].view(np.float32).reshape(n, dim)
     # gather in blocks, so numpy's intp copy of the indices is one block, not n rows
     for start in range(0, n, BLOCK_ROWS):

@@ -33,25 +33,24 @@ def bitwise_sort_order(keys: np.ndarray, used: np.ndarray | None = None) -> np.n
     Beyond ``keys`` and ``used``, a pass holds one word buffer and one uint32
     order, 12 bytes per sorted row, plus temporaries of one block of
     ``BLOCK_ROWS`` rows.  The words are built a block at a time, so no
-    full-length gathered column or position array exists.  The composed order
-    is written, block by block, into the front of the word buffer, and the
-    result is copied out of it.
+    full-length gathered column or position array exists.  The order is one
+    array kept for the whole sort and returned as it is.
     """
-    buffer, n_sorted = _sort_order_buffer(vertex_bits(keys), used, 2)
-    return buffer[:n_sorted].copy()
+    return _sort_order_buffer(vertex_bits(keys), used, 2)[0]
 
 
 def _sort_order_buffer(bits: np.ndarray, used: np.ndarray | None,
-                       row_words: int) -> tuple[np.ndarray, int]:
+                       row_words: int) -> tuple[np.ndarray, np.ndarray]:
     """The sort of :func:`bitwise_sort_order`, run in a uint32 buffer of ``row_words``
-    (at least 2) words per sorted row; returns the buffer and the sorted row count.
+    (at least 2) words per sorted row; returns the order and the spent buffer.
 
-    The order is left in the buffer's first ``n_sorted`` words.  The words of each
-    pass use the buffer's first ``2 * n_sorted`` words, so a caller may size it to
-    hold what it writes over the spent words next.  Each pass copies the order out
-    of the front, builds and sorts its words over the buffer, and writes the
-    composed order back into the front: block k overwrites only ranks that blocks
-    before it have read, and block 0 reads its ranks before it writes.
+    The words of each pass use the buffer's first ``2 * n_sorted`` words, so a
+    caller may size it to hold what it writes over the spent words next.  The
+    order is allocated once, after the first pass's words are built.  Each later
+    pass builds and sorts its words from it, composes the new order into the
+    buffer's front, and copies that back into the order: block k of the front
+    overwrites only ranks that blocks before it have read, and block 0 reads its
+    ranks before it writes.
     """
     n = len(bits)
     if n >= MAX_VERTICES:
@@ -63,15 +62,9 @@ def _sort_order_buffer(bits: np.ndarray, used: np.ndarray | None,
     word, front = buffer[:2 * n_sorted].view(np.uint64), buffer[:n_sorted]
     _last_component_words(bits, used, word)
     word.sort()
-    # the cast to uint32 truncates, so it reads the row ids in the low halves unmasked.
-    # Block k >= 1 writes over words below k * BLOCK_ROWS, which earlier blocks have
-    # read; numpy buffers block 0's overlap with its own words.
-    for start in range(0, n_sorted, BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        front[block] = word[block]
+    # the cast to uint32 truncates, so it reads the row ids in the low halves
+    order = word.astype(np.uint32)
     for c in range(bits.shape[1] - 2, -1, -1):
-        # the next words are written over the order, so the pass reads a copy of it
-        order = front.copy()
         for start in range(0, n_sorted, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, n_sorted)
             # shifts, not a view of the words' uint32 halves, keep this byte-order free
@@ -88,10 +81,8 @@ def _sort_order_buffer(bits: np.ndarray, used: np.ndarray | None,
         for start in range(0, n_sorted, BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
             front[block] = np.take(order, ranks[block], mode="clip")
-        # drop this pass's order before the next copies one out, so the buffer and one
-        # order are all that is held
-        del order
-    return buffer, n_sorted
+        order[:] = front
+    return order, buffer
 
 
 def _last_component_words(bits: np.ndarray, used: np.ndarray | None, word: np.ndarray) -> None:

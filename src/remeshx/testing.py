@@ -39,7 +39,9 @@ def random_mesh(spec: RandomMeshSpec) -> Mesh:
     for name, low in (("n_base_vertices", 0), ("n_elements", 0), ("arity", 1), ("dim", 1)):
         size_value(getattr(spec, name), name, low)
     pool = size_value(spec.coord_pool_size, "coord_pool_size", 1)
-    rng = np.random.default_rng(spec.seed)
+    if pool > 2**63:  # numpy draws the lattice coordinates as int64
+        raise MeshError(f"coord_pool_size must be at most 2**63, got {pool}")
+    rng = np.random.default_rng(size_value(spec.seed, "seed"))
     base = rng.integers(0, pool, size=(spec.n_base_vertices, spec.dim)).astype(np.float32)
 
     n_dups = round(spec.dup_fraction * spec.n_base_vertices)

@@ -11,7 +11,8 @@ import pytest
 from remeshx import (FormatError, Mesh, MeshError, RandomMeshSpec, compact_vertices,
                      compute_new_indices, compute_sort_permutation, flag_first_occurrences,
                      grid_quads, inclusive_scan, invert_permutation, overwrite_unused,
-                     random_mesh, read_obj, run_bench, soups_equal, subset, write_obj)
+                     random_mesh, read_obj, run_bench, soup_to_mesh, soups_equal, subset,
+                     write_obj)
 from remeshx.primitives import bitwise_sort_order
 from conftest import WORKED_ELEMENTS, WORKED_VERTICES, vtx
 
@@ -78,6 +79,16 @@ CASES = [
                  id="flag_first_occurrences-1d"),
     pytest.param(lambda p: Mesh([["a", "b"]], [[0, 0, 0]]), MeshError, "numeric",
                  id="Mesh-string-vertices"),
+    pytest.param(lambda p: Mesh(np.array([[1e40, 0.0]]), [[0]]), MeshError, "beyond float32",
+                 id="Mesh-vertex-beyond-float32"),
+    pytest.param(lambda p: Mesh(np.array([[np.longdouble("1e400"), 0]]), [[0]]), MeshError,
+                 r"1e\+400 at \(0, 0\) is beyond float32", id="Mesh-longdouble-beyond-float32"),
+    pytest.param(lambda p: Mesh(np.array([[1 + 2j, 0]]), [[0]]), MeshError, "real",
+                 id="Mesh-complex-vertices"),
+    pytest.param(lambda p: soup_to_mesh(np.full((1, 3, 2), 1e40)), MeshError, "beyond float32",
+                 id="soup_to_mesh-beyond-float32"),
+    pytest.param(lambda p: compute_sort_permutation(np.array([[1e40]])), MeshError,
+                 "beyond float32", id="compute_sort_permutation-beyond-float32"),
     pytest.param(lambda p: overwrite_unused(TWO_ROWS, [True, False], np.zeros(3, np.float32)),
                  MeshError, "replacement", id="overwrite_unused-replacement-shape"),
     pytest.param(lambda p: soups_equal(TWO_ROWS, TWO_ROWS), MeshError, "axes",
@@ -116,6 +127,10 @@ CASES = [
                  "coord_pool_size", id="random_mesh-negative-coord-pool"),
     pytest.param(lambda p: random_mesh(RandomMeshSpec(seed=0, coord_pool_size=2.5)), MeshError,
                  "coord_pool_size", id="random_mesh-fractional-coord-pool"),
+    pytest.param(lambda p: random_mesh(RandomMeshSpec(seed=0, coord_pool_size=2**64)), MeshError,
+                 "coord_pool_size", id="random_mesh-coord-pool-beyond-int64"),
+    pytest.param(lambda p: random_mesh(RandomMeshSpec(seed=-1)), MeshError, "seed",
+                 id="random_mesh-negative-seed"),
     # OBJ writes that could not be read back bit-exactly
     pytest.param(lambda p: write_obj(tri_with(0xFFC00000), p), FormatError, "NaN",
                  id="write_obj-negative-nan"),

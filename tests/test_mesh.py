@@ -233,6 +233,16 @@ def test_mesh_accepts_int_lists_and_empty_arrays():
     assert Mesh(vtx((0, 0), (1, 1), (2, 2)), wide).elements.dtype == np.uint32
 
 
+def test_vertex_gate_passes_infinities_nan_integers_and_float32_unchanged():
+    wide = np.array([[np.inf, -np.inf], [np.nan, 3.5], [-0.0, 3e38]])
+    assert np.array_equal(Mesh(wide, [[0]]).vertices, wide.astype(np.float32), equal_nan=True)
+    big = np.array([[2**62, -5]], np.int64)
+    assert Mesh(big, [[0]]).vertices.tolist() == [[2.0**62, -5.0]]
+    # float32 input is viewed, not converted
+    rows = vtx((1e38, np.nan), (np.inf, 0))
+    assert np.shares_memory(vertex_bits(rows), rows)
+
+
 def test_every_export_resolves():
     assert [name for name in remeshx.__all__ if not hasattr(remeshx, name)] == []
 

@@ -298,10 +298,10 @@ def test_reindex_frees_a_temporary_input_after_the_sort(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("masked", [False, True])
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_sort_permutation_gathers_the_rows_over_the_spent_sort_words(dim, masked):
-    # the sort runs in a buffer of max(8, 4 * dim) bytes per sorted row and the order
-    # is copied out of it (4 bytes) before the sorted rows are gathered over the words
+    # the sort runs in a buffer of max(8, 4 * dim) bytes per sorted row beside its own
+    # 4-byte order, which is handed over; the sorted rows are gathered over the words
     n = 1 << 20
     rng = np.random.default_rng(dim)
     keys = rng.integers(0, 256, size=(n, dim)).astype(np.float32)
@@ -310,6 +310,23 @@ def test_sort_permutation_gathers_the_rows_over_the_spent_sort_words(dim, masked
     row_bytes = 4 + max(8, 4 * dim)
     peak = traced_peak(compute_sort_permutation, keys, used)
     assert peak <= row_bytes * n_sorted + (1 << 20), f"{peak / n_sorted:.2f} bytes per row"
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_sort_hands_over_an_order_that_owns_its_memory(dim, masked):
+    rng = np.random.default_rng(dim)
+    keys = rng.integers(0, 4, size=(1000, dim)).astype(np.float32)
+    used = rng.random(1000) < 0.8 if masked else None
+    order = primitives.bitwise_sort_order(keys, used)
+    sorted_vtx, org_id = compute_sort_permutation(keys, used)
+    for ids in (order, org_id):
+        assert ids.flags.owndata and ids.base is None
+        assert not np.shares_memory(ids, keys)
+        assert not np.shares_memory(ids, sorted_vtx)
+    rows = sorted_vtx.copy()
+    org_id[:] = 0
+    assert np.array_equal(sorted_vtx.view(np.uint32), rows.view(np.uint32))
 
 
 def hand_run_chain(mesh):
