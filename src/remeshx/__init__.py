@@ -5,8 +5,8 @@ fixed-arity meshes using only parallel-friendly primitives (map, key-value
 sort, inclusive scan, scatter), with a serial map-based baseline, mesh
 composition ops, a benchmark harness, and OBJ/binary I/O.
 """
-from .mesh import (InvalidMeshError, Issue, Mesh, MeshError, bitwise_equal,
-                   dereference, soups_equal, vertex_bits)
+from .mesh import (InvalidMeshError, Mesh, MeshError, bitwise_equal, dereference,
+                   soups_equal, vertex_bits)
 from .primitives import inclusive_scan
 from .pipeline import (ReindexScratch, compact_vertices, compute_new_indices,
                        compute_sort_permutation, flag_first_occurrences,
@@ -21,7 +21,7 @@ from .testing import RandomMeshSpec, check_all, random_mesh
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mesh", "Issue", "MeshError", "InvalidMeshError", "FormatError",
+    "Mesh", "MeshError", "InvalidMeshError", "FormatError",
     "ReindexScratch", "BenchRecord", "RandomMeshSpec",
     "dereference", "soups_equal", "bitwise_equal", "vertex_bits",
     "inclusive_scan", "mark_used", "overwrite_unused", "compute_sort_permutation",

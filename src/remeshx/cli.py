@@ -44,7 +44,7 @@ def _save(mesh: Mesh, path: str, args) -> None:
 
 
 def _parse_ranges(text: str) -> list[tuple[int, int]]:
-    """argparse type for ``--keep``: "0-3,7,9" -> ascending, merged inclusive (lo, hi) ranges."""
+    """argparse type for ``--keep``: "0-3,7,9" -> inclusive (lo, hi) ranges in input order."""
     ranges = []
     try:
         for part in filter(None, (p.strip() for p in text.split(","))):
@@ -58,13 +58,7 @@ def _parse_ranges(text: str) -> list[tuple[int, int]]:
         raise argparse.ArgumentTypeError(f"bad range list {text!r}") from None
     if not ranges:
         raise argparse.ArgumentTypeError(f"{text!r} selects no elements")
-    merged = []
-    for lo, hi in sorted(ranges):
-        if merged and lo <= merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+    return ranges
 
 
 def _positive_int(text: str) -> int:
@@ -110,8 +104,7 @@ def _cmd_subset(args) -> int:
             raise MeshError(f"group {args.group!r} not present in {args.input}")
         keep = np.asarray(groups[args.group], dtype=np.int64)
     else:
-        # ranges are merged and ascending, so the last one ends highest
-        last = args.keep[-1][1]
+        last = max(hi for _, hi in args.keep)
         if last >= mesh.n_elements:
             raise MeshError(f"--keep position {last} out of range [0, {mesh.n_elements})")
         keep = np.zeros(mesh.n_elements, dtype=bool)

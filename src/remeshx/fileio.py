@@ -22,12 +22,11 @@ import struct
 
 import numpy as np
 
-from .mesh import MAX_VERTICES, Mesh, MeshError, size_value, vertex_bits
+from .mesh import BLOCK_ROWS, MAX_VERTICES, Mesh, MeshError, size_value, vertex_bits
 
 _RMX_MAGIC = b"RMX1"
 _RMX_HEADER = struct.Struct("<4sIIQQ")
 _STREAM_CHUNK = 1 << 20
-_OBJ_BLOCK = 1 << 16  # rows formatted by one % and written by one call
 _OBJ_NAN_BITS = 0x7FC00000  # the float32 that read_obj makes of the text "nan"
 
 
@@ -151,11 +150,11 @@ def write_obj(mesh: Mesh, path) -> None:
     vertex_line = "v" + " %.9g" * mesh.dim + "\n"  # nine digits err by under half a float32 ulp
     face_line = "f" + " %d" * mesh.arity + "\n"
     with open(path, "w") as handle:
-        for start in range(0, mesh.n_vertices, _OBJ_BLOCK):
-            block = mesh.vertices[start:start + _OBJ_BLOCK]
+        for start in range(0, mesh.n_vertices, BLOCK_ROWS):
+            block = mesh.vertices[start:start + BLOCK_ROWS]
             handle.write(vertex_line * len(block) % tuple(block.ravel().tolist()))
-        for start in range(0, mesh.n_elements, _OBJ_BLOCK):
-            block = mesh.elements[start:start + _OBJ_BLOCK] + 1  # OBJ indices are 1-based
+        for start in range(0, mesh.n_elements, BLOCK_ROWS):
+            block = mesh.elements[start:start + BLOCK_ROWS] + 1  # OBJ indices are 1-based
             handle.write(face_line * len(block) % tuple(block.ravel().tolist()))
 
 

@@ -16,12 +16,11 @@ element's vertices by value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 MAX_VERTICES = 2**32
-# rows per block of the blocked gathers and of the sort's word building and composing
+# rows per block of take_rows, of the sort's word passes and of write_obj's % formatting
 BLOCK_ROWS = 1 << 16
 
 
@@ -81,6 +80,15 @@ def size_value(n, what: str, low: int = 0) -> int:
     return int(n)
 
 
+def take_rows(rows: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """``out[:] = rows[index]``, gathered ``BLOCK_ROWS`` indices at a time, so numpy's
+    intp copy of the indices is one block, not 8 bytes per index.  ``index`` must be in
+    range: "clip" then never clips, and it skips numpy's buffered copy of ``out``."""
+    for start in range(0, len(index), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        np.take(rows, index[block], axis=0, out=out[block], mode="clip")
+
+
 def flag_array(values, length: int, what: str) -> np.ndarray:
     """Gate for flag arguments: bool of shape ``(length,)``; empty input passes as bool."""
     flags = np.asarray(values)
@@ -94,11 +102,9 @@ def flag_array(values, length: int, what: str) -> np.ndarray:
 class InvalidMeshError(MeshError):
     """Some element index is not below the mesh's vertex count.
 
-    The bad slots are kept as three read-only array attributes, ``element``,
-    ``slot`` and ``index``, one entry per bad slot in row-major order.  The
-    message needs only their count and the first one, so the :class:`Issue`
-    records are built when ``issues`` is first read.  Pickling carries the
-    three arrays.
+    The bad slots are three read-only array attributes, ``element``, ``slot``
+    and ``index``, one entry per bad slot in row-major order.  The message
+    names their count and the first one; pickling carries the three arrays.
     """
 
     element = property(lambda self: self._bad_slots[0])
@@ -114,19 +120,6 @@ class InvalidMeshError(MeshError):
 
     def __reduce__(self):
         return type(self), self._bad_slots
-
-    @cached_property
-    def issues(self) -> list[Issue]:
-        return [Issue(*bad) for bad in zip(*(a.tolist() for a in self._bad_slots))]
-
-
-@dataclass(frozen=True)
-class Issue:
-    """One element index that names no vertex, carried by :class:`InvalidMeshError`."""
-
-    element: int
-    slot: int
-    index: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,17 +197,10 @@ def vertex_bits(vertices: np.ndarray) -> np.ndarray:
 
 
 def dereference(mesh: Mesh) -> np.ndarray:
-    """Expand a mesh into its soup: ``out[e, k] = vertices[elements[e, k]]``.
-
-    The corners are gathered ``BLOCK_ROWS`` at a time into the soup, so numpy's
-    intp copy of the element indices is one block, not 8 bytes per corner.
-    """
+    """Expand a mesh into its soup: ``out[e, k] = vertices[elements[e, k]]``, gathered
+    straight into the soup by :func:`take_rows` (a Mesh's indices are in range)."""
     soup = np.empty(mesh.elements.shape + (mesh.dim,), np.float32)
-    rows, corners = soup.reshape(-1, mesh.dim), mesh.elements.reshape(-1)
-    for start in range(0, len(corners), BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        # a Mesh's indices are in range, so "clip" never clips; it skips numpy's buffered out copy
-        np.take(mesh.vertices, corners[block], axis=0, out=rows[block], mode="clip")
+    take_rows(mesh.vertices, mesh.elements.reshape(-1), soup.reshape(-1, mesh.dim))
     return soup
 
 

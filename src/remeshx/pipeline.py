@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .mesh import (BLOCK_ROWS, MAX_VERTICES, Mesh, MeshError, flag_array, index_array,
-                   size_value, vertex_bits, vertex_rows)
+                   size_value, take_rows, vertex_bits, vertex_rows)
 from .primitives import _sort_order_buffer, bitwise_sort_order, inclusive_scan
 
 
@@ -112,20 +112,16 @@ def compute_sort_permutation(vertices: np.ndarray,
 
     The sort runs in a buffer of ``max(8, 4 * dim)`` bytes per sorted row beside
     its 4-byte order, which is returned as ``org_id``.  The sorted rows are
-    gathered over the spent words, so the sort and the gather together hold
-    ``4 + max(8, 4 * dim)`` bytes per sorted row, plus temporaries of one
+    gathered over the spent words by ``take_rows``, so the sort and the gather
+    hold ``4 + max(8, 4 * dim)`` bytes per sorted row, plus temporaries of one
     ``BLOCK_ROWS`` block.  The sorted rows are a view of that buffer.
     """
     vertices = vertex_rows(vertices, "vertices")
     dim = vertices.shape[1]
-    org_id, buffer = _sort_order_buffer(vertex_bits(vertices), used, max(2, dim))
+    org_id, buffer = _sort_order_buffer(vertices.view(np.uint32), used, max(2, dim))
     n = len(org_id)
     sorted_vtx = buffer[:n * dim].view(np.float32).reshape(n, dim)
-    # gather in blocks, so numpy's intp copy of the indices is one block, not n rows
-    for start in range(0, n, BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        # org_id holds distinct row ids, so "clip" never clips; it skips numpy's buffered out copy
-        np.take(vertices, org_id[block], axis=0, out=sorted_vtx[block], mode="clip")
+    take_rows(vertices, org_id, sorted_vtx)  # org_id holds distinct row ids
     return sorted_vtx, org_id
 
 
@@ -158,9 +154,9 @@ def compact_vertices(sorted_vtx: np.ndarray, nodup: np.ndarray,
 
     With the scan positions of :func:`compute_new_indices` this is the paper's
     scatter of survivors to ``new_idx``; any other ``new_idx`` or ``new_count``
-    raises ``MeshError``.  The rows are checked and compacted ``BLOCK_ROWS``
-    sorted rows at a time into the output, so beyond it only one block's
-    temporaries are held.
+    raises ``MeshError``.  Each block of ``BLOCK_ROWS`` sorted rows is checked,
+    and its flagged rows gathered into the output by ``take_rows``, so beyond
+    the output only one block's temporaries are held.
     """
     sorted_vtx = vertex_rows(sorted_vtx, "sorted vertices")
     nodup = flag_array(nodup, len(sorted_vtx), "first-occurrence flags")
@@ -178,8 +174,7 @@ def compact_vertices(sorted_vtx: np.ndarray, nodup: np.ndarray,
         stop = offset + len(rows)
         if not np.array_equal(new_idx[block][rows], np.arange(offset, stop)):
             raise MeshError("flagged new indices must run 0, 1, ..., new_count - 1")
-        # rows are in range, so "clip" never clips; it skips numpy's buffered out copy
-        np.take(sorted_vtx[block], rows, axis=0, out=out[offset:stop], mode="clip")
+        take_rows(sorted_vtx[block], rows, out[offset:stop])
         offset = stop
     return out
 

@@ -34,8 +34,14 @@ class RandomMeshSpec:
 
 def random_mesh(spec: RandomMeshSpec) -> Mesh:
     """Lattice-coordinate mesh with controlled duplicate and unused fractions."""
-    if not (0.0 <= spec.dup_fraction <= 1.0 and 0.0 <= spec.unused_fraction <= 1.0):
-        raise MeshError("fractions must lie in [0, 1]")
+    for name in ("dup_fraction", "unused_fraction"):
+        fraction = getattr(spec, name)
+        try:
+            inside = 0.0 <= fraction <= 1.0
+        except (TypeError, ValueError):  # None, a string, an array of several values
+            inside = False
+        if not inside:
+            raise MeshError(f"fractions must lie in [0, 1], got {name}={fraction!r}")
     for name, low in (("n_base_vertices", 0), ("n_elements", 0), ("arity", 1), ("dim", 1)):
         size_value(getattr(spec, name), name, low)
     pool = size_value(spec.coord_pool_size, "coord_pool_size", 1)

@@ -248,9 +248,10 @@ def test_stats_counts_match_what_reindex_removes(tmp_path, capsys):
     assert read_bin(out).n_vertices == 4 - 1 - 0
 
 
-def test_keep_parses_to_merged_ranges():
-    assert _parse_ranges("7,0-3,2-5,9") == [(0, 5), (7, 7), (9, 9)]
-    assert _parse_ranges("4-6,0-1,2-3") == [(0, 6)]
+def test_keep_parses_ranges_in_input_order():
+    # overlapping and unordered ranges are kept as given: the mask fill handles overlap
+    assert _parse_ranges("7,0-3,2-5,9") == [(7, 7), (0, 3), (2, 5), (9, 9)]
+    assert _parse_ranges("4-6,0-1,2-3") == [(4, 6), (0, 1), (2, 3)]
     assert _parse_ranges("0-99999999999") == [(0, 99999999999)]
 
 
@@ -266,6 +267,15 @@ def test_subset_keep_ranges_select_and_bound_check(tmp_path, capsys):
         code, _, stderr = run(capsys, "subset", src, out, "--keep", keep)
         assert code == 1 and "out of range" in stderr
         assert not out.exists()
+
+
+def test_subset_keep_bound_checks_the_highest_end_in_any_range(tmp_path, capsys):
+    src = tmp_path / "eight.rmx"
+    write_bin(Mesh(vtx((0, 0), (1, 0), (0, 1)), [[0, 1, 2]] * 8), src)
+    out = tmp_path / "out.rmx"
+    code, _, stderr = run(capsys, "subset", src, out, "--keep", "5-9,0-2")
+    assert code == 1 and "position 9 out of range [0, 8)" in stderr
+    assert not out.exists()
 
 
 def test_format_override_and_quiet(tmp_path, capsys):

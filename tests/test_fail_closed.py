@@ -131,6 +131,12 @@ CASES = [
                  "coord_pool_size", id="random_mesh-coord-pool-beyond-int64"),
     pytest.param(lambda p: random_mesh(RandomMeshSpec(seed=-1)), MeshError, "seed",
                  id="random_mesh-negative-seed"),
+    pytest.param(lambda p: random_mesh(RandomMeshSpec(seed=0, dup_fraction="a")), MeshError,
+                 "dup_fraction", id="random_mesh-string-fraction"),
+    pytest.param(lambda p: random_mesh(RandomMeshSpec(seed=0, unused_fraction=None)), MeshError,
+                 "unused_fraction", id="random_mesh-none-fraction"),
+    pytest.param(lambda p: random_mesh(RandomMeshSpec(seed=0, dup_fraction=np.array([0.1, 0.2]))),
+                 MeshError, "dup_fraction", id="random_mesh-array-fraction"),
     # OBJ writes that could not be read back bit-exactly
     pytest.param(lambda p: write_obj(tri_with(0xFFC00000), p), FormatError, "NaN",
                  id="write_obj-negative-nan"),

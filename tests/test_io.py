@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from remeshx import (FormatError, Mesh, bitwise_equal, equivalent, grid_quads, read_bin,
                      read_obj, vertex_bits, write_bin, write_obj)
-from remeshx.fileio import _OBJ_BLOCK, _RMX_HEADER, _RMX_MAGIC
+from remeshx.fileio import _RMX_HEADER, _RMX_MAGIC
+from remeshx.mesh import BLOCK_ROWS
 from conftest import A, B, C, elems, feed_fifo, vtx
 
 needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
@@ -150,9 +151,9 @@ def test_obj_text_is_pinned(tmp_path, mesh, text):
 def test_obj_round_trips_across_write_blocks(tmp_path):
     # more vertex rows and more face rows than one formatted write holds
     rng = np.random.default_rng(12)
-    n = _OBJ_BLOCK + 3
+    n = BLOCK_ROWS + 3
     vertices = rng.standard_normal((n, 3)).astype(np.float32) * np.float32(1e4)
-    mesh = Mesh(vertices, rng.integers(0, n, size=(_OBJ_BLOCK + 5, 3)).astype(np.uint32))
+    mesh = Mesh(vertices, rng.integers(0, n, size=(BLOCK_ROWS + 5, 3)).astype(np.uint32))
     path = tmp_path / "big.obj"
     write_obj(mesh, path)
     with open(path) as handle:

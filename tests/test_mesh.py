@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 import remeshx
-from remeshx import (InvalidMeshError, Issue, Mesh, MeshError, bitwise_equal, dereference,
-                     read_bin, read_obj, reindex, vertex_bits, write_bin, write_obj)
+from remeshx import (InvalidMeshError, Mesh, MeshError, bitwise_equal, dereference, read_bin,
+                     read_obj, reindex, vertex_bits, write_bin, write_obj)
 from conftest import A, B, C, D, E, F, elems, feed_fifo, traced_peak, vtx
+
+
+def bad_slots(error: InvalidMeshError) -> list[tuple[int, int, int]]:
+    """The error's bad slots as (element, slot, index) tuples, in row-major order."""
+    return list(zip(error.element.tolist(), error.slot.tolist(), error.index.tolist()))
 
 
 def test_validate_empty_mesh():
@@ -23,17 +28,17 @@ def test_validate_worked_mesh_clean(worked_mesh):
 def test_validate_reports_out_of_range():
     with pytest.raises(InvalidMeshError) as err:
         Mesh(vtx((0, 0), (1, 1)), elems((0, 1, 2)))
-    assert err.value.issues == [Issue(element=0, slot=2, index=2)]
+    assert bad_slots(err.value) == [(0, 2, 2)]
 
 
 def test_validate_reports_every_bad_slot():
     with pytest.raises(InvalidMeshError) as err:
         Mesh(vtx((0, 0)), elems((0, 5, 7), (9, 0, 0)))
-    assert err.value.issues == [Issue(0, 1, 5), Issue(0, 2, 7), Issue(1, 0, 9)]
+    assert bad_slots(err.value) == [(0, 1, 5), (0, 2, 7), (1, 0, 9)]
 
 
 def test_invalid_mesh_error_keeps_the_bad_slots_as_arrays():
-    # 2^18 bad slots: the error holds index arrays, not one Issue object per slot
+    # 2^18 bad slots: the error holds index arrays, not one Python object per slot
     n_bad = 1 << 18
     elements = np.full((n_bad // 4, 4), 7, np.uint32)
     elements[0, 0] = 0
@@ -48,8 +53,9 @@ def test_invalid_mesh_error_keeps_the_bad_slots_as_arrays():
     error = build()
     assert str(error) == (f"{n_bad - 1} out-of-range index(es); "
                           "first: element 0 slot 1 references vertex 7")
-    assert len(error.issues) == n_bad - 1
-    assert error.issues[0] == Issue(0, 1, 7) and error.issues[-1] == Issue(n_bad // 4 - 1, 3, 7)
+    slots = bad_slots(error)
+    assert len(slots) == n_bad - 1
+    assert slots[0] == (0, 1, 7) and slots[-1] == (n_bad // 4 - 1, 3, 7)
 
 
 def test_dereference_worked_mesh(worked_mesh):
@@ -68,13 +74,26 @@ def test_dereference_repeated_index():
     assert dereference(mesh).tolist() == [[[2, 7]] * 3]
 
 
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_dereference_across_block_boundaries(monkeypatch, block):
+    # 11 x 4 corners: blocks of 3 and 7 leave a partial last block; rows carry NaN and -0.0 bits
+    monkeypatch.setattr("remeshx.mesh.BLOCK_ROWS", block)
+    rng = np.random.default_rng(block)
+    bits = rng.choice(np.array([0, 0x80000000, 0x7FC00001, 0xFFBFFFFF, 0x3F800000], np.uint32),
+                      size=(6, 2))
+    vertices = bits.view(np.float32)
+    elements = rng.integers(0, 6, size=(11, 4)).astype(np.uint32)
+    soup = dereference(Mesh(vertices, elements))
+    assert np.array_equal(soup.view(np.uint32), vertices[elements].view(np.uint32))
+
+
 def test_mesh_rejects_index_past_vertex_count():
     with pytest.raises(InvalidMeshError) as err:
         Mesh(vtx((0, 0)), elems((0, 0, 1)))
-    assert err.value.issues == [Issue(0, 2, 1)]
+    assert bad_slots(err.value) == [(0, 2, 1)]
     with pytest.raises(InvalidMeshError) as err:
         Mesh(np.empty((0, 2), np.float32), np.array([[0, 0, 0]], np.int64))
-    assert err.value.issues == [Issue(0, 0, 0), Issue(0, 1, 0), Issue(0, 2, 0)]
+    assert bad_slots(err.value) == [(0, 0, 0), (0, 1, 0), (0, 2, 0)]
 
 
 def test_mesh_arrays_are_frozen_copies():
@@ -181,7 +200,7 @@ def test_mesh_arrays_cannot_be_made_writeable(source, tmp_path, worked_mesh):
 def test_adopted_arrays_pass_every_gate():
     with pytest.raises(InvalidMeshError) as err:
         Mesh._adopt(vtx((0, 0)), elems((0, 0, 1)))
-    assert err.value.issues == [Issue(0, 2, 1)]
+    assert bad_slots(err.value) == [(0, 2, 1)]
     with pytest.raises(MeshError, match="integers"):
         Mesh._adopt(vtx((0, 0)), np.zeros((1, 3), np.float32))
     mesh = Mesh._adopt(np.zeros((2, 2)), np.array([[0, 1, 1]], np.int64))
@@ -253,7 +272,7 @@ def test_invalid_mesh_error_survives_pickling():
     error = err.value
     again = pickle.loads(pickle.dumps(error))
     assert type(again) is InvalidMeshError and str(again) == str(error)
-    assert again.issues == error.issues == [Issue(0, 1, 5), Issue(0, 2, 7), Issue(1, 0, 9)]
+    assert bad_slots(again) == bad_slots(error) == [(0, 1, 5), (0, 2, 7), (1, 0, 9)]
     for bad in (error, again):
         assert bad.element.tolist() == [0, 0, 1] and bad.slot.tolist() == [1, 2, 0]
         assert bad.index.tolist() == [5, 7, 9]

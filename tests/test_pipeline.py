@@ -111,9 +111,9 @@ def test_sort_permutation_of_used_rows_worked(worked_mesh):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_sort_permutation_across_block_boundaries(monkeypatch, dim):
-    # the rows are gathered over the sort's spent words, a block at a time
-    for module in (pipeline, primitives):
-        monkeypatch.setattr(module, "BLOCK_ROWS", 3)
+    # the rows are gathered over the sort's spent words, a block at a time, by take_rows
+    for module in ("mesh", "pipeline", "primitives"):
+        monkeypatch.setattr(f"remeshx.{module}.BLOCK_ROWS", 3)
     rng = np.random.default_rng(dim)
     vertices = rng.integers(0, 3, size=(23, dim)).astype(np.float32)
     for used in (None, rng.random(23) < 0.7):
@@ -174,6 +174,21 @@ def test_compact_vertices_holds_the_output_and_one_block(dim):
     peak = traced_peak(compact_vertices, sorted_vtx, nodup, new_idx, new_count)
     assert peak <= 4 * dim * kept + (2 << 20), f"{peak / kept:.2f} bytes per kept row"
     assert np.array_equal(compact_vertices(sorted_vtx, nodup, new_idx, new_count), rows)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_compact_vertices_across_block_boundaries(monkeypatch, dim):
+    # 3 sorted rows per checked block, each block's flagged rows gathered 2 at a time
+    monkeypatch.setattr("remeshx.pipeline.BLOCK_ROWS", 3)
+    monkeypatch.setattr("remeshx.mesh.BLOCK_ROWS", 2)
+    rng = np.random.default_rng(dim)
+    sorted_vtx, _ = compute_sort_permutation(rng.integers(0, 3, size=(29, dim)).astype(np.float32))
+    nodup = flag_first_occurrences(sorted_vtx)
+    new_idx, new_count = compute_new_indices(nodup)
+    scattered = np.zeros((new_count, dim), np.float32)
+    scattered[new_idx[nodup]] = sorted_vtx[nodup]
+    compacted = compact_vertices(sorted_vtx, nodup, new_idx, new_count)
+    assert np.array_equal(vertex_bits(compacted), vertex_bits(scattered))
 
 
 def test_compact_mask_is_optional():
