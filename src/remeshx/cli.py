@@ -226,6 +226,10 @@ def main(argv: list[str] | None = None) -> int:
     except (MeshError, OSError) as exc:
         print(f"remeshx: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # the library lets it through: it says nothing about the input
+        print(f"remeshx: error: out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -3,7 +3,7 @@
 The sort is STABLE (ties broken by original position), so every downstream
 result is bit-deterministic.  Its stability does not rest on numpy's choice of
 sort algorithm: every pass sorts distinct words that carry a row position in
-their low 32 bits, and distinct words have one sorted order.  Given a used
+their low bits, and distinct words have one sorted order.  Given a used
 mask, the sort builds words for the flagged rows only, so an unused row takes
 no part in it.  Every other pipeline step is a map or a scatter written
 directly in numpy.
@@ -14,23 +14,32 @@ import numpy as np
 
 from .mesh import BLOCK_ROWS, MAX_VERTICES, MeshError, flag_array, vertex_bits
 
+# a field of a sort word: (component, its lowest varying bit, width, offset above the position)
+_Field = tuple[int, int, int, int]
+
 
 def bitwise_sort_order(keys: np.ndarray, used: np.ndarray | None = None) -> np.ndarray:
     """Stable ascending order of vertex rows under the bitwise lexicographic order.
 
-    An LSD sort with one pass per component, from the last up to the first.
-    A pass packs each row's component into the high half of a uint64 word and
-    the row's slot in the order so far into the low half, sorts the words
-    with plain ``np.sort``, and reads the low halves back as ranks to compose
-    with that order.  Words are distinct, so each pass is stable whatever
-    algorithm sorts it.  The order equals a stable lexicographic sort of the
-    uint32 component rows; more than 2^32 - 1 rows raise ``MeshError``.
+    An LSD sort over the rows' uint32 components.  One read of the rows finds,
+    per component, the span from its lowest to its highest bit that differs
+    between rows; a component equal in every row has no field.  Each pass packs
+    whole fields of consecutive components, from the last up, into a uint64 word
+    above a ``k``-bit position (``k = bit_length(n - 1)`` for ``n`` input rows):
+    the row's slot in the order so far.  A pass sorts the words with plain
+    ``np.sort`` and reads the low ``k`` bits back as ranks to compose with that
+    order.  A field is at most 32 bits and ``64 - k`` is at least 32, so the pass
+    count depends on the data and is never more than the number of components;
+    rows that differ nowhere take one pass.  Only bits equal in every row are
+    dropped, and words are distinct, so each pass is stable whatever algorithm
+    sorts it and the order equals a stable lexicographic sort of the uint32
+    component rows; more than 2^32 - 1 rows raise ``MeshError``.
 
     With ``used`` (one bool per row) only the rows flagged True are ordered,
     so the result holds ``count_nonzero(used)`` row ids.  An unused row gets
     no word: the first pass packs the flagged rows only.
 
-    Beyond ``keys`` and ``used``, a pass holds one word buffer and one uint32
+    Beyond ``keys`` and ``used``, the sort holds one word buffer and one uint32
     order, 12 bytes per sorted row, plus temporaries of one block of
     ``BLOCK_ROWS`` rows.  The words are built a block at a time, so no
     full-length gathered column or position array exists.  The order is one
@@ -44,13 +53,13 @@ def _sort_order_buffer(bits: np.ndarray, used: np.ndarray | None,
     """The sort of :func:`bitwise_sort_order`, run in a uint32 buffer of ``row_words``
     (at least 2) words per sorted row; returns the order and the spent buffer.
 
-    The words of each pass use the buffer's first ``2 * n_sorted`` words, so a
-    caller may size it to hold what it writes over the spent words next.  The
-    order is allocated once, after the first pass's words are built.  Each later
-    pass builds and sorts its words from it, composes the new order into the
-    buffer's front, and copies that back into the order: block k of the front
-    overwrites only ranks that blocks before it have read, and block 0 reads its
-    ranks before it writes.
+    The words of each pass, whole trimmed fields above a ``k``-bit position, use
+    the buffer's first ``2 * n_sorted`` words, so a caller may size it to hold what
+    it writes over the spent words next.  The order is allocated once, after the
+    first pass's words are built.  Each later pass builds and sorts its words from
+    it, composes the new order into the buffer's front, and copies that back into
+    the order: block j of the front overwrites only ranks that blocks before it
+    have read, and block 0 reads its ranks before it writes.
     """
     n = len(bits)
     if n >= MAX_VERTICES:
@@ -58,24 +67,27 @@ def _sort_order_buffer(bits: np.ndarray, used: np.ndarray | None,
     if used is not None:
         used = flag_array(used, n, "used flags")
     n_sorted = n if used is None else int(np.count_nonzero(used))
+    # first-pass positions are input row ids, so k is sized to n, not to n_sorted
+    k = max(1, (n - 1).bit_length())
+    first, *later = _packed_fields(bits, 64 - k)
     buffer = np.empty(n_sorted * row_words, np.uint32)
     word, front = buffer[:2 * n_sorted].view(np.uint64), buffer[:n_sorted]
-    _last_component_words(bits, used, word)
+    _first_pass_words(bits, used, first, k, word)
     word.sort()
-    # the cast to uint32 truncates, so it reads the row ids in the low halves
+    # the cast to uint32 truncates, and the mask keeps the row ids in the low k bits
     order = word.astype(np.uint32)
-    for c in range(bits.shape[1] - 2, -1, -1):
+    order &= (1 << k) - 1
+    for fields in later:
         for start in range(0, n_sorted, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, n_sorted)
-            # shifts, not a view of the words' uint32 halves, keep this byte-order free
-            np.left_shift(bits[order[start:stop], c], 32, out=word[start:stop], dtype=np.uint64)
-            word[start:stop] |= np.arange(start, stop, dtype=np.uint64)
+            block = slice(start, min(start + BLOCK_ROWS, n_sorted))
+            _pack(bits, order[block], fields, k, word[block])
+            word[block] |= np.arange(block.start, block.stop, dtype=np.uint64)
         word.sort()
-        np.bitwise_and(word, 0xFFFFFFFF, out=word)
+        word &= (1 << k) - 1
         # the ranks are below 2^32, so the int64 view reads them exactly and spares
-        # numpy's cast of uint64 indices.  Block k of the composed order is written
-        # over bytes that hold the ranks below (k + 1) * BLOCK_ROWS / 2 <= k * BLOCK_ROWS
-        # for k >= 1, which earlier blocks have already read; block 0 reads its own
+        # numpy's cast of uint64 indices.  Block j of the composed order is written
+        # over bytes that hold the ranks below (j + 1) * BLOCK_ROWS / 2 <= j * BLOCK_ROWS
+        # for j >= 1, which earlier blocks have already read; block 0 reads its own
         # ranks in full (np.take returns a new array) before it writes.
         ranks = word.view(np.int64)
         for start in range(0, n_sorted, BLOCK_ROWS):
@@ -85,9 +97,59 @@ def _sort_order_buffer(bits: np.ndarray, used: np.ndarray | None,
     return order, buffer
 
 
-def _last_component_words(bits: np.ndarray, used: np.ndarray | None, word: np.ndarray) -> None:
-    """Write the first-pass words ``(last component << 32) | row id`` of the flagged rows,
-    in row order, into ``word``, which holds one uint64 per flagged row.
+def _packed_fields(bits: np.ndarray, room: int) -> list[list[_Field]]:
+    """The fields of each pass's words, least significant pass first.
+
+    A field spans a component's bits from the lowest to the highest that differ
+    between rows.  Whole fields of consecutive components, from the last up,
+    share a word while their widths sum to at most ``room``.  The first pass has
+    no field when the rows are all equal; every later pass has at least one.
+    """
+    passes, fields, width = [], [], 0
+    for c, varying in reversed(list(enumerate(_varying_bits(bits)))):
+        if not varying:
+            continue
+        low = (varying & -varying).bit_length() - 1
+        field_width = varying.bit_length() - low
+        if width + field_width > room:
+            passes.append(fields)
+            fields, width = [], 0
+        fields.append((c, low, field_width, width))
+        width += field_width
+    return passes + [fields]
+
+
+def _varying_bits(bits: np.ndarray) -> list[int]:
+    """Per component, the bits set in some row and clear in another.
+
+    Each block of rows is reduced 64 rows to a line, so every reduction step runs
+    over ``64 * dim`` lanes, not ``dim``.  The read stops early once every
+    component varies in its bits 0 and 31: its field is then the whole word, and
+    the rest of the rows cannot change the plan.
+    """
+    dim = bits.shape[1]
+    any_set = np.zeros(64 * dim, np.uint32)
+    all_set = np.full(64 * dim, 0xFFFFFFFF, np.uint32)
+    varying = np.zeros(dim, np.uint32)
+    for start in range(0, len(bits), BLOCK_ROWS):
+        block = bits[start:start + BLOCK_ROWS]
+        lines = len(block) // 64 * 64
+        whole, tail = block[:lines].reshape(-1, 64 * dim), block[lines:]
+        any_set |= np.bitwise_or.reduce(whole, axis=0)
+        all_set &= np.bitwise_and.reduce(whole, axis=0)
+        any_set[:dim] |= np.bitwise_or.reduce(tail, axis=0)
+        all_set[:dim] &= np.bitwise_and.reduce(tail, axis=0)
+        varying = (np.bitwise_or.reduce(any_set.reshape(64, dim), axis=0)
+                   & ~np.bitwise_and.reduce(all_set.reshape(64, dim), axis=0))
+        if np.all((varying & 0x80000001) == 0x80000001):
+            break
+    return [int(v) for v in varying]
+
+
+def _first_pass_words(bits: np.ndarray, used: np.ndarray | None,
+                      fields: list[_Field], k: int, word: np.ndarray) -> None:
+    """Write the first-pass words, ``fields`` above the ``k``-bit row id, of the flagged
+    rows, in row order, into ``word``, which holds one uint64 per flagged row.
 
     The words are built a block of input rows at a time, from the block's flagged
     row ids, so an unused row never gets a word.  Being a function of its own, it
@@ -98,16 +160,32 @@ def _last_component_words(bits: np.ndarray, used: np.ndarray | None, word: np.nd
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
         if used is None:
-            rows, column = np.arange(start, stop, dtype=np.uint64), bits[start:stop, -1]
+            rows, ids = slice(start, stop), np.arange(start, stop, dtype=np.uint64)
         else:
-            rows = np.flatnonzero(used[start:stop])
-            rows += start
-            column = bits[rows, -1]
-        out = word[filled:filled + len(rows)]
-        np.left_shift(column, 32, out=out, dtype=np.uint64)
+            rows = ids = np.flatnonzero(used[start:stop])
+            ids += start
+        out = word[filled:filled + len(ids)]
+        _pack(bits, rows, fields, k, out)
         # the unsafe cast only reinterprets the non-negative intp row ids as uint64
-        np.bitwise_or(out, rows, out=out, dtype=np.uint64, casting="unsafe")
-        filled += len(rows)
+        np.bitwise_or(out, ids, out=out, dtype=np.uint64, casting="unsafe")
+        filled += len(ids)
+
+
+def _pack(bits: np.ndarray, rows, fields: list[_Field], k: int, out: np.ndarray) -> None:
+    """``out`` = the ``fields`` of ``bits[rows]``, each shifted to ``k`` plus its offset."""
+    if not fields:
+        out.fill(0)
+    for i, (c, low, width, offset) in enumerate(fields):
+        # the bits below and above the field are equal in every row, but may be set
+        column = bits[rows, c]
+        if low:
+            column = column >> low
+        if low + width < 32:
+            column = column & ((1 << width) - 1)
+        if i == 0:
+            np.left_shift(column, k + offset, out=out, dtype=np.uint64)
+        else:
+            out |= np.left_shift(column, k + offset, dtype=np.uint64)
 
 
 def inclusive_scan(flags: np.ndarray) -> np.ndarray:

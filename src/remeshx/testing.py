@@ -8,6 +8,7 @@ reports pass/fail per property.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +37,9 @@ def random_mesh(spec: RandomMeshSpec) -> Mesh:
     """Lattice-coordinate mesh with controlled duplicate and unused fractions."""
     for name in ("dup_fraction", "unused_fraction"):
         fraction = getattr(spec, name)
-        try:
-            inside = 0.0 <= fraction <= 1.0
-        except (TypeError, ValueError):  # None, a string, an array of several values
-            inside = False
-        if not inside:
-            raise MeshError(f"fractions must lie in [0, 1], got {name}={fraction!r}")
+        # a real scalar only: None, a string or an array of any size is refused
+        if not (isinstance(fraction, numbers.Real) and 0.0 <= fraction <= 1.0):
+            raise MeshError(f"fractions must be real numbers in [0, 1], got {name}={fraction!r}")
     for name, low in (("n_base_vertices", 0), ("n_elements", 0), ("arity", 1), ("dim", 1)):
         size_value(getattr(spec, name), name, low)
     pool = size_value(spec.coord_pool_size, "coord_pool_size", 1)

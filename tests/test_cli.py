@@ -1,10 +1,13 @@
 import contextlib
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import remeshx
 from remeshx import Mesh, read_bin, write_bin, write_obj
 from remeshx.cli import _parse_ranges, main
 from remeshx.fileio import _RMX_HEADER, _RMX_MAGIC
@@ -324,3 +327,34 @@ def test_validate_formats_the_bad_slots_in_blocks(tmp_path, capsys):
     assert lines[0] == "element 0 slot 0: index 7 out of range"
     assert lines[-1] == f"element {n_bad // 4 - 1} slot 3: index 7 out of range"
     assert capsys.readouterr().out == f"{bad}: {n_bad} issue(s)\n"
+
+
+# the child caps its own address space at what it maps once the input is read, plus a
+# margin smaller than the 12 MiB of words that sorting 2^20 rows needs
+_CAPPED_MAIN = """
+import resource, sys
+from remeshx.cli import main
+with open("/proc/self/status") as status:
+    vm_kib = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+limit = vm_kib * 1024 + int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_out_of_memory_exits_1_without_a_traceback(tmp_path):
+    n = 1 << 20
+    rng = np.random.default_rng(0)
+    src = tmp_path / "in.rmx"
+    write_bin(Mesh(rng.standard_normal((n, 3), dtype=np.float32),
+                   np.arange(n, dtype=np.uint32).reshape(-1, 4)), src)
+    margin = src.stat().st_size + (4 << 20)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(remeshx.__file__)))
+    done = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, str(margin), "reindex",
+                           str(src), str(tmp_path / "out.rmx")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("remeshx: error: out of memory: ")
+    assert done.stderr.count("\n") == 1

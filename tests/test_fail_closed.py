@@ -137,6 +137,8 @@ CASES = [
                  "unused_fraction", id="random_mesh-none-fraction"),
     pytest.param(lambda p: random_mesh(RandomMeshSpec(seed=0, dup_fraction=np.array([0.1, 0.2]))),
                  MeshError, "dup_fraction", id="random_mesh-array-fraction"),
+    pytest.param(lambda p: random_mesh(RandomMeshSpec(seed=0, dup_fraction=np.array([0.5]))),
+                 MeshError, "dup_fraction", id="random_mesh-one-element-array-fraction"),
     # OBJ writes that could not be read back bit-exactly
     pytest.param(lambda p: write_obj(tri_with(0xFFC00000), p), FormatError, "NaN",
                  id="write_obj-negative-nan"),

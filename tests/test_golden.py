@@ -3,7 +3,9 @@
 The digests were recorded from the pipeline as of commit dd5b304, before the
 sort and the soup, merge and subset ops stopped copying their inputs;
 ``zero_elements`` was recorded at commit 7f4bd61, before ``reindex`` stopped
-returning early for a mesh with no elements.  Any
+returning early for a mesh with no elements; ``full_width_d2`` and
+``full_width_d3`` were recorded at commit 8b57faf, before the sort packed
+several trimmed components into one word.  Any
 change to the output order, the vertex bits or the element indices changes
 a digest, so these pin byte-identical output across refactors and numpy
 versions.
@@ -26,6 +28,15 @@ def random_soup(seed: int, n_tris: int = 1 << 12) -> np.ndarray:
     return soup
 
 
+def full_width_mesh(seed: int, dim: int, n_tris: int = 3000) -> Mesh:
+    """Triangles over ``standard_normal`` float32 corners, with shared and repeated rows
+    and some unused ones: every bit of every component varies between rows."""
+    rng = np.random.default_rng(seed)
+    pool = rng.standard_normal((1000, dim), dtype=np.float32)
+    vertices = pool[rng.integers(0, len(pool), size=4000)]
+    return Mesh(vertices, rng.integers(0, 3600, size=(n_tris, 3)).astype(np.uint32))
+
+
 def reindexed(mesh: Mesh) -> Mesh:
     return reindex(mesh)[0]
 
@@ -43,11 +54,15 @@ CASES = {
     "merge": lambda: merge([random_mesh(RandomMeshSpec(seed=s, arity=4, dim=3))
                             for s in range(5)]),
     "subset": lambda: subset(grid_quads(32), np.arange(0, 32 * 32, 3)),
+    **{f"full_width_d{dim}": (lambda dim=dim: reindexed(full_width_mesh(900 + dim, dim)))
+       for dim in (2, 3)},
     "zero_elements": lambda: reindexed(Mesh(np.random.default_rng(5).integers(
         -2, 3, size=(5, 3)).astype(np.float32), np.empty((0, 4), np.uint32))),
 }
 
 GOLDEN = {
+    "full_width_d2": "c3501ec9174d917648bd425a6bf0026d29301d489d8ccb74e9c798f0ed46b0eb",
+    "full_width_d3": "06d22a59efcf7a155fda999da2870ead6481535cf1f59b411c9ed15845b4ae1b",
     "grid64": "e6bde1d9c6d80a7acdcf927862a8d4a32c4dffbe211e6cccd17f89aa99db0934",
     "merge": "04b8ec298b08e0f819b056e7e24e310210d04971769ece0cdb2b3f3b81490d41",
     "random_d1_a3": "733151429a1857d7bd4e649f076d820d21b7d279f6486c25d44ac7efed34753d",

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remeshx import MeshError, inclusive_scan, vertex_bits
-from remeshx.primitives import bitwise_sort_order
+from remeshx import MeshError, grid_quads, inclusive_scan, vertex_bits
+from remeshx.primitives import _packed_fields, bitwise_sort_order
 from conftest import A, B, C, D, traced_peak, vtx
 
 
@@ -190,3 +190,122 @@ def test_bitwise_sort_order_over_several_real_blocks():
     for mask in (None, used):
         assert np.array_equal(bitwise_sort_order(vertices, mask),
                               lexsort_of_used_rows(vertices, mask))
+
+
+def position_bits(n):
+    return max(1, (n - 1).bit_length())
+
+
+def rows_with_fields(n, spans, seed):
+    """``n`` uint32 rows, viewed as float32, whose component c varies exactly in bits
+    ``spans[c] = (low, high)`` (None: equal in every row).  The bits outside a span
+    are set, so a field that kept any of them would break the order, and about
+    half the rows repeat others, so the order's stability is tested too."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for span in spans:
+        if span is None:
+            columns.append(np.full(n, 0xA5A5A5A5, np.uint64))
+            continue
+        low, high = span
+        field = rng.integers(0, 1 << (high - low + 1), size=n, dtype=np.uint64)
+        field[rng.integers(0, n, size=n // 2)] = field[rng.integers(0, n, size=n // 2)]
+        field[:2] = 0, (1 << (high - low + 1)) - 1  # the lowest and the highest bit vary
+        outside = 0xFFFFFFFF & ~(((1 << (high - low + 1)) - 1) << low)
+        columns.append((field << np.uint64(low)) | np.uint64(outside))
+    return np.stack(columns, axis=1).astype(np.uint32).view(np.float32)
+
+
+def assert_sorts_like_lexsort(vertices, used=None):
+    assert bitwise_sort_order(vertices, used).tolist() == \
+        lexsort_of_used_rows(vertices, used).tolist()
+
+
+def plan_of(vertices):
+    return _packed_fields(vertex_bits(vertices), 64 - position_bits(len(vertices)))
+
+
+@pytest.mark.parametrize("spans", [[(0, 31)], [(31, 31)], [(0, 0)], [(31, 31), (0, 0)],
+                                   [(0, 31), (0, 31), (0, 31)], [(0, 0), (31, 31), (5, 9)]],
+                         ids=str)
+def test_packed_sort_with_the_sign_bit_and_bit_0_varying(spans):
+    assert_sorts_like_lexsort(rows_with_fields(500, spans, 1))
+
+
+@pytest.mark.parametrize("spans", [[None], [None, None, None], [(3, 20), None, (0, 31)],
+                                   [None, (7, 7)], [(12, 30), None]], ids=str)
+def test_packed_sort_with_constant_columns(spans):
+    vertices = rows_with_fields(400, spans, 2)
+    assert_sorts_like_lexsort(vertices)
+    assert sum(len(fields) for fields in plan_of(vertices)) == len(spans) - spans.count(None)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_packed_sort_of_all_equal_rows_keeps_the_input_order(dim):
+    vertices = rows_with_fields(300, [None] * dim, 3)
+    assert plan_of(vertices) == [[]]
+    assert bitwise_sort_order(vertices).tolist() == list(range(300))
+    used = np.arange(300) % 3 == 1
+    assert bitwise_sort_order(vertices, used).tolist() == np.flatnonzero(used).tolist()
+
+
+@pytest.mark.parametrize("extra, passes", [(0, 1), (1, 2)])
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 1000, 1 << 10, (1 << 10) + 1, 1 << 16, (1 << 16) + 1])
+def test_packed_sort_at_the_word_width(n, extra, passes):
+    # two fields whose widths sum to exactly 64 - k, or one bit more: the second case
+    # must take two passes, and neither may let a field reach the position bits, also
+    # at n = 2^j rows, the most that k = j bits can number, and at 2^j + 1
+    k = position_bits(n)
+    spans = [(0, 31 - k + extra), (0, 31)]
+    vertices = rows_with_fields(n, spans, n + extra)
+    assert len(plan_of(vertices)) == passes
+    assert_sorts_like_lexsort(vertices)
+    assert_sorts_like_lexsort(vertices, np.random.default_rng(n).random(n) < 0.6)
+
+
+@pytest.mark.parametrize("n_used", [1, 4, 5, 100])
+def test_packed_sort_sizes_its_positions_to_the_input_rows_not_the_used_ones(n_used):
+    # a few used rows at the end of many: their row ids need more bits than their
+    # count, and the fields fill every bit the input's row count leaves free
+    n = 3000
+    vertices = rows_with_fields(n, [(0, 31 - position_bits(n)), (0, 31)], n_used)
+    for used in (np.arange(n) >= n - n_used, np.isin(np.arange(n), np.linspace(
+            0, n - 1, n_used).astype(int))):
+        n_sorted = int(np.count_nonzero(used))
+        assert n_sorted <= 1 << position_bits(n_sorted) < n
+        assert_sorts_like_lexsort(vertices, used)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_packed_sort_keeps_signed_zeros_and_nan_payloads_apart(dim):
+    patterns = np.array([0x00000000, 0x80000000, 0x7FC00000, 0x7FC00001, 0x7FC00123,
+                         0xFFC00001, 0x7F800001, 0xFFFFFFFF], np.uint32)
+    rng = np.random.default_rng(40 + dim)
+    vertices = patterns[rng.integers(0, len(patterns), size=(2000, dim))].view(np.float32)
+    assert_sorts_like_lexsort(vertices)
+    assert_sorts_like_lexsort(vertices, rng.random(2000) < 0.5)
+
+
+def test_packed_sort_plan_of_a_grid_and_of_full_width_floats():
+    # the grid's two lattice coordinates share one word; full-width floats keep one
+    # component per pass, so a plan never takes more passes than there are components
+    assert len(plan_of(grid_quads(64).vertices)) == 1
+    for dim in (1, 2, 3):
+        floats = np.random.default_rng(dim).standard_normal((5000, dim), dtype=np.float32)
+        assert plan_of(floats) == [[(c, 0, 32, 0)] for c in reversed(range(dim))]
+        assert_sorts_like_lexsort(floats)
+
+
+@pytest.mark.parametrize("block", [64, 100, 1 << 16])
+def test_packed_sort_plan_reads_every_row(monkeypatch, block):
+    # the only differing bits sit in a late whole line of 64 rows and in the tail rows
+    # past the last whole line, so a plan that skipped either would drop them
+    monkeypatch.setattr("remeshx.primitives.BLOCK_ROWS", block)
+    bits = np.full((1000, 2), 0x3F800000, np.uint32)
+    bits[900, 0] ^= 1 << 20
+    bits[999, 0] ^= 1 << 31
+    bits[998, 1] ^= 1 << 12
+    bits[997, 1] ^= 1
+    vertices = bits.view(np.float32)
+    assert plan_of(vertices) == [[(1, 0, 13, 0), (0, 20, 12, 13)]]
+    assert_sorts_like_lexsort(vertices)
