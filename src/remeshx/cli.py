@@ -148,13 +148,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_stats(args) -> int:
     mesh = _load(args.input, args)
-    # reindex's own counts, so that vertices = unused + duplicates + what reindex keeps
-    scratch = reindex(mesh)[1]
-    unused = mesh.n_vertices - int(np.count_nonzero(scratch.is_used))
-    print(f"vertices:  {mesh.n_vertices} (dim {mesh.dim})")
+    counts = reindex(mesh)[1].counts
+    print(f"vertices:  {counts['vertices_in']} (dim {mesh.dim})")
     print(f"elements:  {mesh.n_elements} (arity {mesh.arity})")
-    print(f"duplicate vertices: {mesh.n_vertices - unused - scratch.new_count}")
-    print(f"unused vertices:    {unused}")
+    print(f"duplicate vertices: {counts['duplicates']}")
+    print(f"unused vertices:    {counts['unused']}")
     return 0
 
 

@@ -7,7 +7,9 @@ and scans the flags into compacted destinations.  Step 3 stream-compacts the
 survivors into the new vertex array: the k-th first occurrence goes to slot k,
 which, with the scan positions of step 2, is the paper's scatter.  Step 4
 scatters each sorted slot's new index to its original position, then rewrites
-every element index through that table.
+every element index through that table.  :func:`compact_vertices` checks its
+arguments, then calls the kernel that :func:`reindex` calls directly on the
+arrays the steps before it made.
 
 :func:`reindex` marks the used vertices but does not overwrite the others:
 steps 2 to 4 run over the used vertices alone, since the overwritten ones
@@ -76,6 +78,13 @@ class ReindexScratch:
     def nodup(self) -> np.ndarray:
         """bool, one per input vertex: True at the first sorted slot of each distinct row."""
         return flag_first_occurrences(self.new_idx[:, None].view(np.float32))
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """The run's vertex counts: ``vertices_in == unused + duplicates + vertices_out``."""
+        n, used = len(self.is_used), int(np.count_nonzero(self.is_used))
+        return {"vertices_in": n, "unused": n - used, "duplicates": used - self.new_count,
+                "vertices_out": self.new_count}
 
     @cached_property
     def perm(self) -> np.ndarray:
@@ -153,29 +162,37 @@ def compact_vertices(sorted_vtx: np.ndarray, nodup: np.ndarray,
     """Stream-compact the first occurrences: the k-th flagged row goes to slot k.
 
     With the scan positions of :func:`compute_new_indices` this is the paper's
-    scatter of survivors to ``new_idx``; any other ``new_idx`` or ``new_count``
-    raises ``MeshError``.  Each block of ``BLOCK_ROWS`` sorted rows is checked,
-    and its flagged rows gathered into the output by ``take_rows``, so beyond
-    the output only one block's temporaries are held.
+    scatter of survivors to ``new_idx``.  ``MeshError`` is raised unless ``new_count``
+    is the flag count and the flagged ``new_idx`` run 0, 1, ..., ``new_count - 1``; the
+    unflagged ones are not checked.  Checks and ``take_rows`` gathers go a block of
+    ``BLOCK_ROWS`` sorted rows at a time: one block's temporaries beyond the output.
     """
     sorted_vtx = vertex_rows(sorted_vtx, "sorted vertices")
     nodup = flag_array(nodup, len(sorted_vtx), "first-occurrence flags")
     new_idx = index_array(new_idx, MAX_VERTICES, "new index", ndim=1)
     if len(new_idx) != len(nodup):
         raise MeshError(f"{len(new_idx)} new indices for {len(nodup)} sorted vertices")
-    n_flags = np.count_nonzero(nodup)
+    n_flags = 0
+    for start in range(0, len(nodup), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        flagged = new_idx[block][np.flatnonzero(nodup[block])]
+        if not np.array_equal(flagged, np.arange(n_flags, n_flags + len(flagged))):
+            raise MeshError("flagged new indices must run 0, 1, ..., new_count - 1")
+        n_flags += len(flagged)
     if size_value(new_count, "new vertex count") != n_flags:
         raise MeshError(f"new vertex count {new_count} for {n_flags} first occurrences")
-    out = np.empty((n_flags, sorted_vtx.shape[1]), np.float32)
+    return _compact(sorted_vtx, nodup, new_count)
+
+
+def _compact(sorted_vtx: np.ndarray, nodup: np.ndarray, new_count: int) -> np.ndarray:
+    """Unchecked kernel of :func:`compact_vertices`: ``new_count`` must be the flag count."""
+    out = np.empty((new_count, sorted_vtx.shape[1]), np.float32)
     offset = 0
     for start in range(0, len(nodup), BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)
         rows = np.flatnonzero(nodup[block])
-        stop = offset + len(rows)
-        if not np.array_equal(new_idx[block][rows], np.arange(offset, stop)):
-            raise MeshError("flagged new indices must run 0, 1, ..., new_count - 1")
-        take_rows(sorted_vtx[block], rows, out[offset:stop])
-        offset = stop
+        take_rows(sorted_vtx[block], rows, out[offset:offset + len(rows)])
+        offset += len(rows)
     return out
 
 
@@ -218,7 +235,7 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
     del mesh
     nodup = flag_first_occurrences(sorted_vtx)
     new_idx, new_count = compute_new_indices(nodup)
-    new_vtx = compact_vertices(sorted_vtx, nodup, new_idx, new_count)
+    new_vtx = _compact(sorted_vtx, nodup, new_count)  # the steps above made its inputs
     del sorted_vtx, nodup  # free the sorted rows and flags before the table allocates
     # only the used positions are written; table[elements] never reads the unused zeros
     table = np.zeros(n_vertices, np.uint32)

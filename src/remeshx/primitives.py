@@ -106,9 +106,9 @@ def _packed_fields(bits: np.ndarray, room: int) -> list[list[_Field]]:
     no field when the rows are all equal; every later pass has at least one.
     """
     passes, fields, width = [], [], 0
-    for c, varying in reversed(list(enumerate(_varying_bits(bits)))):
-        if not varying:
-            continue
+    varying_bits = _varying_bits(bits)
+    for c in np.flatnonzero(varying_bits)[::-1].tolist():
+        varying = int(varying_bits[c])
         low = (varying & -varying).bit_length() - 1
         field_width = varying.bit_length() - low
         if width + field_width > room:
@@ -119,31 +119,31 @@ def _packed_fields(bits: np.ndarray, room: int) -> list[list[_Field]]:
     return passes + [fields]
 
 
-def _varying_bits(bits: np.ndarray) -> list[int]:
-    """Per component, the bits set in some row and clear in another.
+def _varying_bits(bits: np.ndarray) -> np.ndarray:
+    """Per component, the bits set in some row and clear in another, as uint32.
 
-    Each block of rows is reduced 64 rows to a line, so every reduction step runs
-    over ``64 * dim`` lanes, not ``dim``.  The read stops early once every
-    component varies in its bits 0 and 31: its field is then the whole word, and
-    the rest of the rows cannot change the plan.
+    Each block of rows is reduced 64 rows to a line (fewer rows take one line), so
+    every reduction step runs over ``64 * dim`` lanes at most, not ``dim``.  The read
+    stops early once every component varies in its bits 0 and 31: its field is then
+    the whole word, and the rest of the rows cannot change the plan.
     """
-    dim = bits.shape[1]
-    any_set = np.zeros(64 * dim, np.uint32)
-    all_set = np.full(64 * dim, 0xFFFFFFFF, np.uint32)
+    dim, lanes = bits.shape[1], max(1, min(64, len(bits)))
+    any_set = np.zeros(lanes * dim, np.uint32)
+    all_set = np.full(lanes * dim, 0xFFFFFFFF, np.uint32)
     varying = np.zeros(dim, np.uint32)
     for start in range(0, len(bits), BLOCK_ROWS):
         block = bits[start:start + BLOCK_ROWS]
-        lines = len(block) // 64 * 64
-        whole, tail = block[:lines].reshape(-1, 64 * dim), block[lines:]
+        lines = len(block) // lanes * lanes
+        whole, tail = block[:lines].reshape(-1, lanes * dim), block[lines:]
         any_set |= np.bitwise_or.reduce(whole, axis=0)
         all_set &= np.bitwise_and.reduce(whole, axis=0)
         any_set[:dim] |= np.bitwise_or.reduce(tail, axis=0)
         all_set[:dim] &= np.bitwise_and.reduce(tail, axis=0)
-        varying = (np.bitwise_or.reduce(any_set.reshape(64, dim), axis=0)
-                   & ~np.bitwise_and.reduce(all_set.reshape(64, dim), axis=0))
+        varying = (np.bitwise_or.reduce(any_set.reshape(lanes, dim), axis=0)
+                   & ~np.bitwise_and.reduce(all_set.reshape(lanes, dim), axis=0))
         if np.all((varying & 0x80000001) == 0x80000001):
             break
-    return [int(v) for v in varying]
+    return varying
 
 
 def _first_pass_words(bits: np.ndarray, used: np.ndarray | None,

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remeshx import (Mesh, MeshError, bitwise_equal, compact_vertices,
-                     compute_new_indices, compute_sort_permutation, dereference,
+from remeshx import (Mesh, MeshError, RandomMeshSpec, bitwise_equal, compact_vertices,
+                     compute_new_indices, compute_sort_permutation, dereference, equivalent,
                      flag_first_occurrences, grid_quads, invert_permutation, mark_used,
-                     overwrite_unused, read_bin, reindex, soups_equal, vertex_bits,
-                     write_bin)
+                     overwrite_unused, random_mesh, read_bin, reindex, reindex_serial,
+                     soups_equal, vertex_bits, write_bin)
 from remeshx import pipeline, primitives
 from conftest import A, B, C, D, E, F, elems, traced_peak, vtx
 
@@ -189,6 +189,27 @@ def test_compact_vertices_across_block_boundaries(monkeypatch, dim):
     scattered[new_idx[nodup]] = sorted_vtx[nodup]
     compacted = compact_vertices(sorted_vtx, nodup, new_idx, new_count)
     assert np.array_equal(vertex_bits(compacted), vertex_bits(scattered))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_reindex_compacts_across_block_boundaries(monkeypatch, dim):
+    # reindex calls the compaction kernel, not compact_vertices: its blocks are reached here
+    mesh = random_mesh(RandomMeshSpec(seed=dim, dim=dim, coord_pool_size=3))
+    unpatched = reindex(mesh)[0]
+    monkeypatch.setattr("remeshx.pipeline.BLOCK_ROWS", 3)
+    monkeypatch.setattr("remeshx.mesh.BLOCK_ROWS", 2)
+    out = reindex(mesh)[0]
+    assert bitwise_equal(out, unpatched)
+    assert equivalent(out, reindex_serial(mesh))
+
+
+def test_compact_vertices_checks_only_the_flagged_new_indices():
+    sorted_vtx, nodup = vtx(A, B, C), np.array([True, False, True])
+    # the unflagged entry is neither read nor checked
+    out = compact_vertices(sorted_vtx, nodup, np.array([0, 7, 1], np.uint32), 2)
+    assert out.tolist() == vtx(A, C).tolist()
+    with pytest.raises(MeshError, match="flagged new indices"):
+        compact_vertices(sorted_vtx, nodup, np.array([0, 1, 7], np.uint32), 2)
 
 
 def test_compact_mask_is_optional():
@@ -386,6 +407,27 @@ def test_reindex_scratch_equals_the_hand_run_chain(dim, unused_fraction, seed):
     assert scratch.table.dtype == table.dtype
     assert np.array_equal(scratch.table[scratch.is_used], table[scratch.is_used])
     assert not scratch.table[~scratch.is_used].any()
+
+
+@pytest.mark.parametrize("spec", [RandomMeshSpec(seed=s, dim=1 + s % 3) for s in range(6)]
+                         + [RandomMeshSpec(seed=6, n_elements=0)])
+def test_reindex_counts_add_up_to_the_input(spec):
+    mesh = random_mesh(spec)
+    out, scratch = reindex(mesh)
+    counts = scratch.counts
+    assert counts["vertices_in"] == mesh.n_vertices
+    assert counts["unused"] == np.count_nonzero(~mark_used(mesh))
+    assert mesh.n_vertices == counts["unused"] + counts["duplicates"] + counts["vertices_out"]
+    assert counts["vertices_out"] == out.n_vertices == reindex_serial(mesh).n_vertices
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_reindex_of_a_wide_mesh_holds_no_lanes_for_absent_rows(n):
+    # the sort's plan reduces no more rows to a line than the mesh has: no 64 * dim lanes
+    dim = 1 << 20
+    mesh = Mesh(np.zeros((n, dim), np.float32), np.zeros((n, 3), np.uint32))
+    peak = traced_peak(reindex, mesh)
+    assert peak <= 32 * dim + (1 << 20), f"{peak / dim:.1f} bytes per component"
 
 
 def test_reindex_already_compact():
