@@ -110,7 +110,9 @@ def _cmd_subset(args) -> int:
         keep = np.zeros(mesh.n_elements, dtype=bool)
         for lo, hi in args.keep:
             keep[lo:hi + 1] = True
-    return _write_result(subset(mesh, keep), args)
+    held = [mesh]  # subset is the loaded mesh's only holder, so it can free it
+    del mesh
+    return _write_result(subset(held.pop(), keep), args)
 
 
 def _cmd_gen(args) -> int:
@@ -147,10 +149,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    mesh = _load(args.input, args)
-    counts = reindex(mesh)[1].counts
-    print(f"vertices:  {counts['vertices_in']} (dim {mesh.dim})")
-    print(f"elements:  {mesh.n_elements} (arity {mesh.arity})")
+    # a temporary input: the output has its dim, arity and element count
+    out, scratch = reindex(_load(args.input, args))
+    counts = scratch.counts
+    print(f"vertices:  {counts['vertices_in']} (dim {out.dim})")
+    print(f"elements:  {out.n_elements} (arity {out.arity})")
     print(f"duplicate vertices: {counts['duplicates']}")
     print(f"unused vertices:    {counts['unused']}")
     return 0

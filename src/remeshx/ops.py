@@ -23,9 +23,11 @@ def merge(meshes: list[Mesh]) -> Mesh:
     total = sum(m.n_vertices for m in meshes)
     if total >= MAX_VERTICES:
         raise MeshError(f"merged vertex count {total} exceeds 32-bit index range")
-    # the concatenation is a temporary, so reindex frees its vertex rows after the sort
-    # (Python 3.11 or later)
-    return reindex(_concatenation(meshes))[0]
+    # the list is the concatenation's only holder: with the inputs dropped, a temporary
+    # input list is freed before the sort, and the stacked rows after it (Python 3.11+)
+    held = [_concatenation(meshes)]
+    del meshes, m
+    return reindex(held.pop())[0]
 
 
 def _concatenation(meshes: list[Mesh]) -> Mesh:
@@ -75,7 +77,10 @@ def subset(mesh: Mesh, keep) -> Mesh:
     removes what is now unused.
     """
     selector = _checked_selector(keep, mesh.n_elements)
-    return reindex(Mesh._adopt(mesh.vertices, mesh.elements[selector]))[0]
+    # as in merge: a temporary source is freed with the selected mesh's rows (Python 3.11+)
+    held = [Mesh._adopt(mesh.vertices, mesh.elements[selector])]
+    del mesh
+    return reindex(held.pop())[0]
 
 
 def _checked_selector(keep, n_elements: int) -> np.ndarray:

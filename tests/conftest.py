@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -5,6 +6,11 @@ import numpy as np
 import pytest
 
 from remeshx import Mesh
+
+FREED_AFTER_THE_SORT_NEEDS_3_11 = pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before Python 3.11 the calling frame keeps the argument alive for the whole "
+           "call, so reindex cannot free it")
 
 # Frozen letter-to-coordinate assignment for the worked 10-vertex / 4-triangle
 # example; lexicographic order matches A < B < C < D < E < F.

@@ -58,27 +58,13 @@ def test_criterion_2_table_counts(n, quads, vin, vout):
             f"({mesh.n_elements}/{mesh.n_vertices}/{out.n_vertices})", ok)
 
 
-def _physical_cores():
-    try:
-        import psutil
-        cores = psutil.cpu_count(logical=False)
-        if cores:
-            return cores
-    except ImportError:
-        pass
-    import os
-    return os.cpu_count() or 1
-
-
 def test_criterion_3_parallel_speedup():
-    cores = _physical_cores()
-    if cores < 4:
-        pytest.skip(f"criterion 3 requires >= 4 physical cores, found {cores}")
+    # reindex runs on one thread, so the ratio does not depend on the core count
     record = run_bench([1024], reps=5)[0]
     speedup = record.t_serial_ms / record.t_parallel_ms
     _report(f"criterion 3: N=1024 speedup {speedup:.2f}x "
             f"(serial {record.t_serial_ms:.0f} ms, parallel "
-            f"{record.t_parallel_ms:.0f} ms, {cores} cores)", speedup >= 2.0)
+            f"{record.t_parallel_ms:.0f} ms)", speedup >= 2.0)
 
 
 def test_criterion_4_property_suite_1000_meshes():

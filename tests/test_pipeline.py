@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 import weakref
 
@@ -13,7 +12,8 @@ from remeshx import (Mesh, MeshError, RandomMeshSpec, bitwise_equal, compact_ver
                      overwrite_unused, random_mesh, read_bin, reindex, reindex_serial,
                      soups_equal, vertex_bits, write_bin)
 from remeshx import pipeline, primitives
-from conftest import A, B, C, D, E, F, elems, traced_peak, vtx
+from conftest import (A, B, C, D, E, F, FREED_AFTER_THE_SORT_NEEDS_3_11, elems, traced_peak,
+                      vtx)
 
 
 # float32 bit patterns that a float comparison or conversion could lose: signed
@@ -304,9 +304,7 @@ def test_reindex_scratch_compares_by_identity():
     assert len({s1, s2}) == 2
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="before Python 3.11 the calling frame keeps the argument alive "
-                           "for the whole call, so reindex cannot free it")
+@FREED_AFTER_THE_SORT_NEEDS_3_11
 def test_reindex_frees_a_temporary_input_after_the_sort(tmp_path, monkeypatch):
     path = tmp_path / "grid.rmx"
     write_bin(grid_quads(64), path)
