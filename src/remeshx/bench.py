@@ -18,9 +18,6 @@ from .mesh import MAX_VERTICES, Mesh, MeshError, size_value
 from .pipeline import reindex
 from .serial import reindex_serial
 
-CSV_HEADER = "n,quads_in,vertices_in,vertices_out,t_serial_ms,t_parallel_ms,threads"
-
-
 @dataclass(frozen=True)
 class BenchRecord:
     """One benchmark row (timings are medians over the requested repetitions)."""
@@ -34,8 +31,11 @@ class BenchRecord:
     threads: int
 
     def csv_row(self) -> str:
-        return (f"{self.n},{self.quads_in},{self.vertices_in},{self.vertices_out},"
-                f"{self.t_serial_ms:.3f},{self.t_parallel_ms:.3f},{self.threads}")
+        values = (getattr(self, f.name) for f in fields(self))
+        return ",".join(f"{v:.3f}" if isinstance(v, float) else str(v) for v in values)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
 
 
 def grid_quads(n: int) -> Mesh:
@@ -95,9 +95,8 @@ def write_csv(records: list[BenchRecord], stream) -> None:
 
 def format_table(records: list[BenchRecord]) -> str:
     """Human-readable table for terminal output."""
-    names = [f.name for f in fields(BenchRecord)]
-    rows = [[f"{getattr(r, c):.3f}" if isinstance(getattr(r, c), float)
-             else str(getattr(r, c)) for c in names] for r in records]
+    names = CSV_HEADER.split(",")
+    rows = [r.csv_row().split(",") for r in records]
     widths = [max(len(n), *(len(row[i]) for row in rows)) if rows else len(n)
               for i, n in enumerate(names)]
     lines = ["  ".join(n.rjust(w) for n, w in zip(names, widths))]

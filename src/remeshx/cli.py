@@ -11,7 +11,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import fileio
-from .mesh import BLOCK_ROWS, InvalidMeshError, Mesh, MeshError
+from .mesh import InvalidMeshError, Mesh, MeshError, blocks
 from .ops import merge, soup_to_mesh, subset
 from .pipeline import reindex
 
@@ -110,9 +110,9 @@ def _cmd_subset(args) -> int:
         keep = np.zeros(mesh.n_elements, dtype=bool)
         for lo, hi in args.keep:
             keep[lo:hi + 1] = True
-    held = [mesh]  # subset is the loaded mesh's only holder, so it can free it
-    del mesh
-    return _write_result(subset(held.pop(), keep), args)
+    held = [keep, mesh]  # subset is the only holder of the mesh and keep, so it can free them
+    del mesh, groups, keep
+    return _write_result(subset(held.pop(), held.pop()), args)
 
 
 def _cmd_gen(args) -> int:
@@ -136,11 +136,10 @@ def _cmd_validate(args) -> int:
     try:
         _load(args.input, args)
     except InvalidMeshError as exc:
-        # BLOCK_ROWS lines per % format, straight from the error's arrays
+        # one block of lines per % format, straight from the error's arrays
         line = "element %d slot %d: index %d out of range\n"
-        for start in range(0, len(exc.index), BLOCK_ROWS):
-            block = np.stack([a[start:start + BLOCK_ROWS]
-                              for a in (exc.element, exc.slot, exc.index)], axis=1)
+        for rows in blocks(len(exc.index)):
+            block = np.stack([a[rows] for a in (exc.element, exc.slot, exc.index)], axis=1)
             sys.stderr.write(line * len(block) % tuple(block.ravel().tolist()))
         _say(args, f"{args.input}: {len(exc.index)} issue(s)")
         return 1

@@ -22,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .mesh import BLOCK_ROWS, MAX_VERTICES, Mesh, MeshError, size_value, vertex_bits
+from .mesh import MAX_VERTICES, Mesh, MeshError, blocks, size_value, vertex_bits
 
 _RMX_MAGIC = b"RMX1"
 _RMX_HEADER = struct.Struct("<4sIIQQ")
@@ -150,11 +150,11 @@ def write_obj(mesh: Mesh, path) -> None:
     vertex_line = "v" + " %.9g" * mesh.dim + "\n"  # nine digits err by under half a float32 ulp
     face_line = "f" + " %d" * mesh.arity + "\n"
     with open(path, "w") as handle:
-        for start in range(0, mesh.n_vertices, BLOCK_ROWS):
-            block = mesh.vertices[start:start + BLOCK_ROWS]
+        for rows in blocks(mesh.n_vertices):
+            block = mesh.vertices[rows]
             handle.write(vertex_line * len(block) % tuple(block.ravel().tolist()))
-        for start in range(0, mesh.n_elements, BLOCK_ROWS):
-            block = mesh.elements[start:start + BLOCK_ROWS] + 1  # OBJ indices are 1-based
+        for rows in blocks(mesh.n_elements):
+            block = mesh.elements[rows] + 1  # OBJ indices are 1-based
             handle.write(face_line * len(block) % tuple(block.ravel().tolist()))
 
 

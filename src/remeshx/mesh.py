@@ -15,12 +15,13 @@ element's vertices by value.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 MAX_VERTICES = 2**32
-# rows per block of take_rows, of the sort's word passes and of write_obj's % formatting
+# rows per block of every blocked loop; only blocks() reads it
 BLOCK_ROWS = 1 << 16
 
 
@@ -80,12 +81,17 @@ def size_value(n, what: str, low: int = 0) -> int:
     return int(n)
 
 
+def blocks(n: int) -> Iterator[slice]:
+    """Slices of ``BLOCK_ROWS`` rows over ``range(n)``, the last one clipped to ``n``."""
+    for start in range(0, n, BLOCK_ROWS):
+        yield slice(start, min(start + BLOCK_ROWS, n))
+
+
 def take_rows(rows: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
-    """``out[:] = rows[index]``, gathered ``BLOCK_ROWS`` indices at a time, so numpy's
-    intp copy of the indices is one block, not 8 bytes per index.  ``index`` must be in
+    """``out[:] = rows[index]``, gathered a block of indices at a time, so numpy's intp
+    copy of the indices is one block, not 8 bytes per index.  ``index`` must be in
     range: "clip" then never clips, and it skips numpy's buffered copy of ``out``."""
-    for start in range(0, len(index), BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
+    for block in blocks(len(index)):
         np.take(rows, index[block], axis=0, out=out[block], mode="clip")
 
 

@@ -74,12 +74,12 @@ def subset(mesh: Mesh, keep) -> Mesh:
     ascending list of element positions; either one indexes the element array
     directly, and both select the elements in source order.  The selected
     elements share the source's read-only vertex array, and re-indexing
-    removes what is now unused.
+    removes what is now unused.  As in :func:`merge`, a temporary source or
+    ``keep`` is freed before the sort's later steps (Python 3.11+).
     """
     selector = _checked_selector(keep, mesh.n_elements)
-    # as in merge: a temporary source is freed with the selected mesh's rows (Python 3.11+)
     held = [Mesh._adopt(mesh.vertices, mesh.elements[selector])]
-    del mesh
+    del mesh, keep, selector
     return reindex(held.pop())[0]
 
 

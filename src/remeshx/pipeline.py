@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import (BLOCK_ROWS, MAX_VERTICES, Mesh, MeshError, flag_array, index_array,
+from .mesh import (MAX_VERTICES, Mesh, MeshError, blocks, flag_array, index_array,
                    size_value, take_rows, vertex_bits, vertex_rows)
 from .primitives import _sort_order_buffer, bitwise_sort_order, inclusive_scan
 
@@ -123,7 +123,7 @@ def compute_sort_permutation(vertices: np.ndarray,
     its 4-byte order, which is returned as ``org_id``.  The sorted rows are
     gathered over the spent words by ``take_rows``, so the sort and the gather
     hold ``4 + max(8, 4 * dim)`` bytes per sorted row, plus temporaries of one
-    ``BLOCK_ROWS`` block.  The sorted rows are a view of that buffer.
+    block of :func:`~remeshx.mesh.blocks`.  The sorted rows are a view of that buffer.
     """
     vertices = vertex_rows(vertices, "vertices")
     dim = vertices.shape[1]
@@ -138,6 +138,8 @@ def flag_first_occurrences(sorted_vtx: np.ndarray) -> np.ndarray:
     """True where a sorted vertex differs bitwise from its predecessor."""
     bits = vertex_bits(sorted_vtx)
     nodup = np.ones(len(bits), dtype=bool)
+    if len(bits) < 2:  # no row has a predecessor: skip a loop over every component
+        return nodup
     later = nodup[1:]
     later[:] = False
     for column in bits.T:
@@ -165,7 +167,7 @@ def compact_vertices(sorted_vtx: np.ndarray, nodup: np.ndarray,
     scatter of survivors to ``new_idx``.  ``MeshError`` is raised unless ``new_count``
     is the flag count and the flagged ``new_idx`` run 0, 1, ..., ``new_count - 1``; the
     unflagged ones are not checked.  Checks and ``take_rows`` gathers go a block of
-    ``BLOCK_ROWS`` sorted rows at a time: one block's temporaries beyond the output.
+    sorted rows at a time: one block's temporaries beyond the output.
     """
     sorted_vtx = vertex_rows(sorted_vtx, "sorted vertices")
     nodup = flag_array(nodup, len(sorted_vtx), "first-occurrence flags")
@@ -173,8 +175,7 @@ def compact_vertices(sorted_vtx: np.ndarray, nodup: np.ndarray,
     if len(new_idx) != len(nodup):
         raise MeshError(f"{len(new_idx)} new indices for {len(nodup)} sorted vertices")
     n_flags = 0
-    for start in range(0, len(nodup), BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
+    for block in blocks(len(nodup)):
         flagged = new_idx[block][np.flatnonzero(nodup[block])]
         if not np.array_equal(flagged, np.arange(n_flags, n_flags + len(flagged))):
             raise MeshError("flagged new indices must run 0, 1, ..., new_count - 1")
@@ -188,8 +189,7 @@ def _compact(sorted_vtx: np.ndarray, nodup: np.ndarray, new_count: int) -> np.nd
     """Unchecked kernel of :func:`compact_vertices`: ``new_count`` must be the flag count."""
     out = np.empty((new_count, sorted_vtx.shape[1]), np.float32)
     offset = 0
-    for start in range(0, len(nodup), BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
+    for block in blocks(len(nodup)):
         rows = np.flatnonzero(nodup[block])
         take_rows(sorted_vtx[block], rows, out[offset:offset + len(rows)])
         offset += len(rows)
@@ -227,8 +227,7 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
     is_used = mark_used(mesh)
     # the unused rows are left out of the sort rather than overwritten into duplicates;
     # ReindexScratch sorts them back in where the paper's step 1 would have put them
-    sorted_vtx, org_id = compute_sort_permutation(
-        mesh.vertices, None if is_used.all() else is_used)
+    sorted_vtx, org_id = compute_sort_permutation(mesh.vertices, is_used)
     # the vertex rows are not read again: dropping the mesh frees them before the next
     # steps allocate when the caller passed a temporary (Python 3.11 or later)
     n_vertices, elements = mesh.n_vertices, mesh.elements

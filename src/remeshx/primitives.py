@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import BLOCK_ROWS, MAX_VERTICES, MeshError, flag_array, vertex_bits
+from .mesh import MAX_VERTICES, MeshError, blocks, flag_array, vertex_bits
 
 # a field of a sort word: (component, its lowest varying bit, width, offset above the position)
 _Field = tuple[int, int, int, int]
@@ -41,9 +41,10 @@ def bitwise_sort_order(keys: np.ndarray, used: np.ndarray | None = None) -> np.n
 
     Beyond ``keys`` and ``used``, the sort holds one word buffer and one uint32
     order, 12 bytes per sorted row, plus temporaries of one block of
-    ``BLOCK_ROWS`` rows.  The words are built a block at a time, so no
+    :func:`~remeshx.mesh.blocks`.  The words are built a block at a time, so no
     full-length gathered column or position array exists.  The order is one
-    array kept for the whole sort and returned as it is.
+    array kept for the whole sort and returned as it is.  A ``used`` that flags
+    every row is dropped, so it costs one count and no masked pass.
     """
     return _sort_order_buffer(vertex_bits(keys), used, 2)[0]
 
@@ -67,6 +68,7 @@ def _sort_order_buffer(bits: np.ndarray, used: np.ndarray | None,
     if used is not None:
         used = flag_array(used, n, "used flags")
     n_sorted = n if used is None else int(np.count_nonzero(used))
+    used = None if n_sorted == n else used  # all True: the unmasked words are cheaper
     # first-pass positions are input row ids, so k is sized to n, not to n_sorted
     k = max(1, (n - 1).bit_length())
     first, *later = _packed_fields(bits, 64 - k)
@@ -78,20 +80,18 @@ def _sort_order_buffer(bits: np.ndarray, used: np.ndarray | None,
     order = word.astype(np.uint32)
     order &= (1 << k) - 1
     for fields in later:
-        for start in range(0, n_sorted, BLOCK_ROWS):
-            block = slice(start, min(start + BLOCK_ROWS, n_sorted))
+        for block in blocks(n_sorted):
             _pack(bits, order[block], fields, k, word[block])
             word[block] |= np.arange(block.start, block.stop, dtype=np.uint64)
         word.sort()
         word &= (1 << k) - 1
         # the ranks are below 2^32, so the int64 view reads them exactly and spares
         # numpy's cast of uint64 indices.  Block j of the composed order is written
-        # over bytes that hold the ranks below (j + 1) * BLOCK_ROWS / 2 <= j * BLOCK_ROWS
-        # for j >= 1, which earlier blocks have already read; block 0 reads its own
+        # over bytes that hold the ranks below (j + 1) * b / 2 <= j * b for a block size
+        # b and j >= 1, which earlier blocks have already read; block 0 reads its own
         # ranks in full (np.take returns a new array) before it writes.
         ranks = word.view(np.int64)
-        for start in range(0, n_sorted, BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
+        for block in blocks(n_sorted):
             front[block] = np.take(order, ranks[block], mode="clip")
         order[:] = front
     return order, buffer
@@ -131,8 +131,8 @@ def _varying_bits(bits: np.ndarray) -> np.ndarray:
     any_set = np.zeros(lanes * dim, np.uint32)
     all_set = np.full(lanes * dim, 0xFFFFFFFF, np.uint32)
     varying = np.zeros(dim, np.uint32)
-    for start in range(0, len(bits), BLOCK_ROWS):
-        block = bits[start:start + BLOCK_ROWS]
+    for rows in blocks(len(bits)):
+        block = bits[rows]
         lines = len(block) // lanes * lanes
         whole, tail = block[:lines].reshape(-1, lanes * dim), block[lines:]
         any_set |= np.bitwise_or.reduce(whole, axis=0)
@@ -155,15 +155,13 @@ def _first_pass_words(bits: np.ndarray, used: np.ndarray | None,
     row ids, so an unused row never gets a word.  Being a function of its own, it
     frees the last block's temporaries before the sort.
     """
-    n = len(bits)
     filled = 0
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
+    for block in blocks(len(bits)):
         if used is None:
-            rows, ids = slice(start, stop), np.arange(start, stop, dtype=np.uint64)
+            rows, ids = block, np.arange(block.start, block.stop, dtype=np.uint64)
         else:
-            rows = ids = np.flatnonzero(used[start:stop])
-            ids += start
+            rows = ids = np.flatnonzero(used[block])
+            ids += block.start
         out = word[filled:filled + len(ids)]
         _pack(bits, rows, fields, k, out)
         # the unsafe cast only reinterprets the non-negative intp row ids as uint64

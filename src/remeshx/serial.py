@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import Mesh, dereference, soups_equal, vertex_bits
-from .primitives import bitwise_sort_order
+from .pipeline import compute_sort_permutation
 
 
 def reindex_serial(mesh: Mesh) -> Mesh:
@@ -46,6 +46,5 @@ def equivalent(a: Mesh, b: Mesh) -> bool:
         return False
     if a.vertices.shape != b.vertices.shape:
         return False
-    sorted_a = a.vertices[bitwise_sort_order(a.vertices)]
-    sorted_b = b.vertices[bitwise_sort_order(b.vertices)]
+    sorted_a, sorted_b = (compute_sort_permutation(m.vertices)[0] for m in (a, b))
     return bool(np.array_equal(vertex_bits(sorted_a), vertex_bits(sorted_b)))

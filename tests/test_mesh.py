@@ -1,4 +1,6 @@
+import ast
 import os
+import pathlib
 import pickle
 from dataclasses import fields
 
@@ -8,6 +10,7 @@ import pytest
 import remeshx
 from remeshx import (InvalidMeshError, Mesh, MeshError, bitwise_equal, dereference, read_bin,
                      read_obj, reindex, vertex_bits, write_bin, write_obj)
+from remeshx.mesh import blocks
 from conftest import A, B, C, D, E, F, elems, feed_fifo, traced_peak, vtx
 
 
@@ -72,6 +75,26 @@ def test_dereference_empty():
 def test_dereference_repeated_index():
     mesh = Mesh(vtx((2, 7)), elems((0, 0, 0)))
     assert dereference(mesh).tolist() == [[[2, 7]] * 3]
+
+
+def test_blocks_cover_the_rows_with_a_clipped_last_block(monkeypatch):
+    monkeypatch.setattr("remeshx.mesh.BLOCK_ROWS", 3)
+    assert [(b.start, b.stop) for b in blocks(7)] == [(0, 3), (3, 6), (6, 7)]
+    assert [(b.start, b.stop) for b in blocks(6)] == [(0, 3), (3, 6)]
+    assert list(blocks(0)) == []
+
+
+def test_only_mesh_names_the_block_size():
+    # every blocked loop iterates mesh.blocks, so patching remeshx.mesh.BLOCK_ROWS reaches
+    # them all; an import or a name of it elsewhere would be a second, unpatched copy
+    naming = []
+    for path in sorted(pathlib.Path(remeshx.__file__).parent.glob("*.py")):
+        if path.name == "mesh.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if "BLOCK_ROWS" in {getattr(node, key, None) for key in ("id", "attr", "name")}:
+                naming.append(f"{path.name}:{node.lineno}")
+    assert naming == []
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])

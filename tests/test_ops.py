@@ -259,6 +259,26 @@ def test_subset_frees_a_temporary_source_before_the_scan(monkeypatch):
 
 
 @FREED_AFTER_THE_SORT_NEEDS_3_11
+def test_subset_frees_temporary_positions_before_the_scan(monkeypatch):
+    # int64 positions, as remeshx subset --group passes them: 8 B per selected element
+    owners = []
+
+    def positions():
+        out = np.arange(0, 40, 3, dtype=np.int64)
+        owners.append(weakref.ref(out))
+        return out
+
+    alive = spy_on_the_scan(monkeypatch, owners)
+    mesh = random_mesh(RandomMeshSpec(seed=6, n_elements=40))
+    out = subset(mesh, positions())
+    held = positions()
+    again = subset(mesh, held)
+    # temporary positions are gone before the scan; held ones are kept
+    assert alive == [False, True]
+    assert bitwise_equal(out, again)
+
+
+@FREED_AFTER_THE_SORT_NEEDS_3_11
 def test_subset_of_a_temporary_source_peaks_as_reindex_of_its_selection(tmp_path):
     # half of grid_quads(512): held through the sort, the source put the peak at 1.40x
     # that of re-indexing the selected elements over the same vertices

@@ -112,8 +112,7 @@ def test_sort_permutation_of_used_rows_worked(worked_mesh):
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_sort_permutation_across_block_boundaries(monkeypatch, dim):
     # the rows are gathered over the sort's spent words, a block at a time, by take_rows
-    for module in ("mesh", "pipeline", "primitives"):
-        monkeypatch.setattr(f"remeshx.{module}.BLOCK_ROWS", 3)
+    monkeypatch.setattr("remeshx.mesh.BLOCK_ROWS", 3)
     rng = np.random.default_rng(dim)
     vertices = rng.integers(0, 3, size=(23, dim)).astype(np.float32)
     for used in (None, rng.random(23) < 0.7):
@@ -178,8 +177,7 @@ def test_compact_vertices_holds_the_output_and_one_block(dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_compact_vertices_across_block_boundaries(monkeypatch, dim):
-    # 3 sorted rows per checked block, each block's flagged rows gathered 2 at a time
-    monkeypatch.setattr("remeshx.pipeline.BLOCK_ROWS", 3)
+    # 2 sorted rows per checked block, so the flagged offset carries across most blocks
     monkeypatch.setattr("remeshx.mesh.BLOCK_ROWS", 2)
     rng = np.random.default_rng(dim)
     sorted_vtx, _ = compute_sort_permutation(rng.integers(0, 3, size=(29, dim)).astype(np.float32))
@@ -196,7 +194,6 @@ def test_reindex_compacts_across_block_boundaries(monkeypatch, dim):
     # reindex calls the compaction kernel, not compact_vertices: its blocks are reached here
     mesh = random_mesh(RandomMeshSpec(seed=dim, dim=dim, coord_pool_size=3))
     unpatched = reindex(mesh)[0]
-    monkeypatch.setattr("remeshx.pipeline.BLOCK_ROWS", 3)
     monkeypatch.setattr("remeshx.mesh.BLOCK_ROWS", 2)
     out = reindex(mesh)[0]
     assert bitwise_equal(out, unpatched)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remeshx import MeshError, grid_quads, inclusive_scan, vertex_bits
+from remeshx import MeshError, grid_quads, inclusive_scan, primitives, vertex_bits
 from remeshx.primitives import _packed_fields, bitwise_sort_order
 from conftest import A, B, C, D, traced_peak, vtx
 
@@ -56,6 +56,21 @@ def test_bitwise_sort_order_with_no_used_row_is_empty(dim):
     keys = np.ones((5, dim), np.float32)
     assert bitwise_sort_order(keys, np.zeros(5, bool)).tolist() == []
     assert bitwise_sort_order(keys[:0], np.zeros(0, bool)).tolist() == []
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_bitwise_sort_order_drops_an_all_true_mask(monkeypatch, dim):
+    # a mask that flags every row orders every row: the sort builds the unmasked words
+    masks, real = [], primitives._first_pass_words
+    monkeypatch.setattr(primitives, "_first_pass_words",
+                        lambda bits, used, *rest: masks.append(used) or real(bits, used, *rest))
+    rng = np.random.default_rng(dim)
+    vertices = np.array(_AWKWARD_BITS, np.uint32)[
+        rng.integers(0, len(_AWKWARD_BITS), size=(300, dim))].view(np.float32)
+    masked = bitwise_sort_order(vertices, np.ones(300, bool))
+    unmasked = bitwise_sort_order(vertices)
+    assert masked.dtype == unmasked.dtype and masked.tobytes() == unmasked.tobytes()
+    assert masks == [None, None]
 
 
 def test_bitwise_sort_order_rejects_rows_without_components():
@@ -172,7 +187,7 @@ def _sparse_masks(n, block):
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_bitwise_sort_order_across_block_boundaries(monkeypatch, block, dim, n):
     # n = 2 and 5 fit in one block of 7, and 23 leaves a partial last block of 3 and 7
-    monkeypatch.setattr("remeshx.primitives.BLOCK_ROWS", block)
+    monkeypatch.setattr("remeshx.mesh.BLOCK_ROWS", block)
     rng = np.random.default_rng(100 * block + 10 * dim + n)
     vertices = np.array(_AWKWARD_BITS[:4], np.uint32)[
         rng.integers(0, 4, size=(n, dim))].view(np.float32)
@@ -300,7 +315,7 @@ def test_packed_sort_plan_of_a_grid_and_of_full_width_floats():
 def test_packed_sort_plan_reads_every_row(monkeypatch, block):
     # the only differing bits sit in a late whole line of 64 rows and in the tail rows
     # past the last whole line, so a plan that skipped either would drop them
-    monkeypatch.setattr("remeshx.primitives.BLOCK_ROWS", block)
+    monkeypatch.setattr("remeshx.mesh.BLOCK_ROWS", block)
     bits = np.full((1000, 2), 0x3F800000, np.uint32)
     bits[900, 0] ^= 1 << 20
     bits[999, 0] ^= 1 << 31
