@@ -95,6 +95,13 @@ def take_rows(rows: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
         np.take(rows, index[block], axis=0, out=out[block], mode="clip")
 
 
+def put_rows(out: np.ndarray, index: np.ndarray, values) -> None:
+    """``out[index] = values`` (one value per index, or one for all) a block of indices at a
+    time through the block's intp copy: numpy casts other index dtypes element by element."""
+    for block in blocks(len(index)):
+        out[index[block].astype(np.intp)] = values[block] if np.ndim(values) else values
+
+
 def flag_array(values, length: int, what: str) -> np.ndarray:
     """Gate for flag arguments: bool of shape ``(length,)``; empty input passes as bool."""
     flags = np.asarray(values)

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .mesh import (MAX_VERTICES, Mesh, MeshError, blocks, flag_array, index_array,
-                   size_value, take_rows, vertex_bits, vertex_rows)
+                   put_rows, size_value, take_rows, vertex_bits, vertex_rows)
 from .primitives import _sort_order_buffer, bitwise_sort_order, inclusive_scan
 
 
@@ -72,7 +72,10 @@ class ReindexScratch:
     @cached_property
     def new_idx(self) -> np.ndarray:
         """uint32, one per input vertex: the compacted index of each sorted slot."""
-        return self._filled()[self.org_id]
+        filled = self._filled()
+        new_idx = np.empty_like(filled)
+        take_rows(filled, self.org_id, new_idx)
+        return new_idx
 
     @cached_property
     def nodup(self) -> np.ndarray:
@@ -95,7 +98,7 @@ class ReindexScratch:
 def mark_used(mesh: Mesh) -> np.ndarray:
     """Boolean flag per vertex: referenced by at least one element."""
     used = np.zeros(mesh.n_vertices, dtype=bool)
-    used[mesh.elements.reshape(-1)] = True
+    put_rows(used, mesh.elements.reshape(-1), True)
     return used
 
 
@@ -204,7 +207,7 @@ def invert_permutation(org_id: np.ndarray) -> np.ndarray:
         raise MeshError(f"permutation of {n} entries exceeds 32-bit index range")
     # n marks a slot no entry reached; it fits in uint32 because n < 2**32
     perm = np.full(n, n, dtype=np.uint32)
-    perm[org_id] = np.arange(n, dtype=np.uint32)
+    put_rows(perm, org_id, np.arange(n, dtype=np.uint32))
     if n and int(perm.max()) >= n:
         raise MeshError("input is not a permutation (repeated entries)")
     return perm
@@ -238,9 +241,11 @@ def reindex(mesh: Mesh) -> tuple[Mesh, ReindexScratch]:
     del sorted_vtx, nodup  # free the sorted rows and flags before the table allocates
     # only the used positions are written; table[elements] never reads the unused zeros
     table = np.zeros(n_vertices, np.uint32)
-    table[org_id] = new_idx
+    put_rows(table, org_id, new_idx)
     del org_id, new_idx  # the table holds what they said: free them before the remap
     scratch = ReindexScratch(is_used, new_count, table,
                              int(table[elements[0, 0]]) if len(elements) else 0)
+    new_elements = np.empty(elements.shape, np.uint32)  # the owner, which the mesh freezes
+    take_rows(table, elements.reshape(-1), new_elements.reshape(-1))
     # both arrays are fresh and referenced nowhere else, so the mesh adopts them uncopied
-    return Mesh._adopt(new_vtx, table[elements]), scratch
+    return Mesh._adopt(new_vtx, new_elements), scratch

@@ -76,9 +76,9 @@ def _sort_order_buffer(bits: np.ndarray, used: np.ndarray | None,
     word, front = buffer[:2 * n_sorted].view(np.uint64), buffer[:n_sorted]
     _first_pass_words(bits, used, first, k, word)
     word.sort()
-    # the cast to uint32 truncates, and the mask keeps the row ids in the low k bits
-    order = word.astype(np.uint32)
-    order &= (1 << k) - 1
+    # the row ids in the low k bits, masked and cast to uint32 in one pass
+    order = np.empty(n_sorted, np.uint32)
+    np.bitwise_and(word, (1 << k) - 1, out=order, casting="unsafe")
     for fields in later:
         for block in blocks(n_sorted):
             _pack(bits, order[block], fields, k, word[block])
@@ -170,20 +170,22 @@ def _first_pass_words(bits: np.ndarray, used: np.ndarray | None,
 
 
 def _pack(bits: np.ndarray, rows, fields: list[_Field], k: int, out: np.ndarray) -> None:
-    """``out`` = the ``fields`` of ``bits[rows]``, each shifted to ``k`` plus its offset."""
+    """``out`` = the ``fields`` of ``bits[rows]``, each shifted to ``k`` plus its offset;
+    ``rows``, a slice or row ids, indexes each 1-D column view ``bits[:, c]``."""
     if not fields:
         out.fill(0)
     for i, (c, low, width, offset) in enumerate(fields):
-        # the bits below and above the field are equal in every row, but may be set
-        column = bits[rows, c]
-        if low:
-            column = column >> low
-        if low + width < 32:
-            column = column & ((1 << width) - 1)
+        # the bits outside the field are equal in every row, but may be set; the AND makes
+        # a new array, since with a slice the column is a view of the caller's keys
+        column = bits[:, c][rows]
+        if width < 32:
+            column = column & (((1 << width) - 1) << low)
+        shift = k + offset - low
+        move = np.left_shift if shift >= 0 else np.right_shift
         if i == 0:
-            np.left_shift(column, k + offset, out=out, dtype=np.uint64)
+            move(column, abs(shift), out=out, dtype=np.uint64)
         else:
-            out |= np.left_shift(column, k + offset, dtype=np.uint64)
+            out |= move(column, abs(shift), dtype=np.uint64)
 
 
 def inclusive_scan(flags: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remeshx import MeshError, grid_quads, inclusive_scan, primitives, vertex_bits
+from remeshx import (MeshError, compute_sort_permutation, grid_quads, inclusive_scan, primitives,
+                     vertex_bits)
 from remeshx.primitives import _packed_fields, bitwise_sort_order
 from conftest import A, B, C, D, traced_peak, vtx
 
@@ -253,6 +254,22 @@ def test_packed_sort_with_constant_columns(spans):
     vertices = rows_with_fields(400, spans, 2)
     assert_sorts_like_lexsort(vertices)
     assert sum(len(fields) for fields in plan_of(vertices)) == len(spans) - spans.count(None)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("view", [lambda v: v, lambda v: v[::2], lambda v: v[:, ::-1],
+                                  np.asfortranarray],
+                         ids=["contiguous", "row-step", "reversed-columns", "fortran"])
+def test_sort_leaves_writeable_caller_keys_unchanged(view, masked):
+    # every field is narrower than 32 bits and has set bits around it, so each one is
+    # trimmed; unmasked, the sort reads a block of a column as a view of these keys
+    keys = view(rows_with_fields(3000, [(3, 20), (12, 30), (0, 9)], 6))
+    assert keys.flags.writeable
+    used = np.random.default_rng(6).random(len(keys)) < 0.7 if masked else None
+    before = keys.copy()
+    bitwise_sort_order(keys, used)
+    compute_sort_permutation(keys, used)
+    assert keys.view(np.uint32).tobytes() == before.view(np.uint32).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
