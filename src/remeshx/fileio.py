@@ -12,10 +12,12 @@ each.  The binary round trip is bit-exact for every mesh.  :func:`read_bin`
 checks the header against a regular file's size, then reads the payload
 straight into the vertex and element arrays of the mesh it returns, which
 are frozen in place.  From a pipe or device it reads in chunks up to the
-promised size and copies the buffer into the mesh.
+promised size and copies the buffer into the mesh.  Both writers replace a regular
+file only once the new one is written in full.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import stat
 import struct
@@ -149,7 +151,7 @@ def write_obj(mesh: Mesh, path) -> None:
                           "payload bits, which OBJ's 'nan' cannot carry")
     vertex_line = "v" + " %.9g" * mesh.dim + "\n"  # nine digits err by under half a float32 ulp
     face_line = "f" + " %d" * mesh.arity + "\n"
-    with open(path, "w") as handle:
+    with _replacing(path, "w") as handle:
         for rows in blocks(mesh.n_vertices):
             block = mesh.vertices[rows]
             handle.write(vertex_line * len(block) % tuple(block.ravel().tolist()))
@@ -160,11 +162,43 @@ def write_obj(mesh: Mesh, path) -> None:
 
 def write_bin(mesh: Mesh, path) -> None:
     """Write the RMX1 binary container."""
-    with open(path, "wb") as handle:
+    with _replacing(path, "wb") as handle:
         handle.write(_RMX_HEADER.pack(_RMX_MAGIC, mesh.dim, mesh.arity,
                                       mesh.n_vertices, mesh.n_elements))
         handle.write(np.ascontiguousarray(mesh.vertices, dtype="<f4"))
         handle.write(np.ascontiguousarray(mesh.elements, dtype="<u4"))
+
+
+@contextlib.contextmanager
+def _replacing(path, mode: str):
+    """Open ``path`` for writing so that a failed write leaves it as it was.
+
+    A regular file or a missing path is written to a temporary file beside it, which then
+    replaces it, or is removed if the write fails.  A symlink is followed to the file it
+    names.  A new file gets the mode ``open`` gives it under the umask, an existing one
+    keeps its mode.  Anything else, such as a FIFO or a device, is written in place.
+    """
+    info = os.stat(path) if os.path.exists(path) else None
+    if info is not None and not stat.S_ISREG(info.st_mode):
+        with open(path, mode) as handle:
+            yield handle
+        return
+    target = os.path.realpath(path)
+    temporary = f"{target}.{os.urandom(4).hex()}.tmp"
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    try:  # O_EXCL never overwrites a file; 0o666 under the umask is the mode open() gives
+        fd = os.open(temporary, flags, 0o666)
+    except OSError as exc:  # name the target, not the temporary
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with open(fd, mode) as handle:
+            if info is not None:
+                os.chmod(temporary, stat.S_IMODE(info.st_mode))
+            yield handle
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def read_bin(path) -> Mesh:

@@ -81,10 +81,12 @@ def size_value(n, what: str, low: int = 0) -> int:
     return int(n)
 
 
-def blocks(n: int) -> Iterator[slice]:
-    """Slices of ``BLOCK_ROWS`` rows over ``range(n)``, the last one clipped to ``n``."""
-    for start in range(0, n, BLOCK_ROWS):
-        yield slice(start, min(start + BLOCK_ROWS, n))
+def blocks(n: int, width: int = 1) -> Iterator[slice]:
+    """Slices over ``range(n)`` of ``BLOCK_ROWS // width`` items, and at least one, so each
+    holds about one block of values when an item holds ``width``; the last one is clipped."""
+    step = BLOCK_ROWS // (width or 1) or 1  # plain arithmetic: the sort makes many blocks
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
 
 def take_rows(rows: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:

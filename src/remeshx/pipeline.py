@@ -141,12 +141,10 @@ def flag_first_occurrences(sorted_vtx: np.ndarray) -> np.ndarray:
     """True where a sorted vertex differs bitwise from its predecessor."""
     bits = vertex_bits(sorted_vtx)
     nodup = np.ones(len(bits), dtype=bool)
-    if len(bits) < 2:  # no row has a predecessor: skip a loop over every component
-        return nodup
     later = nodup[1:]
     later[:] = False
-    for column in bits.T:
-        later |= column[1:] != column[:-1]
+    for tile in blocks(bits.shape[1], len(bits)):
+        later |= (bits[1:, tile] != bits[:-1, tile]).any(axis=1)
     return nodup
 
 

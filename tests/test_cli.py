@@ -33,6 +33,18 @@ def test_gen_reindex_stats(tmp_path, capsys):
     assert "unused vertices:    0" in stdout
 
 
+@pytest.mark.parametrize("suffix", ["rmx", "obj"])
+def test_reindex_in_place_equals_reindex_to_a_new_file(tmp_path, capsys, suffix):
+    # the output replaces the input only once it is written in full
+    grid, ref, same = tmp_path / "g.rmx", tmp_path / f"ref.{suffix}", tmp_path / f"same.{suffix}"
+    assert run(capsys, "gen", "--n", 8, grid)[0] == 0
+    assert run(capsys, "reindex", grid, same)[0] == 0
+    assert run(capsys, "reindex", same, ref)[0] == 0
+    assert run(capsys, "reindex", same, same)[0] == 0
+    assert same.read_bytes() == ref.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([grid.name, ref.name, same.name])
+
+
 def test_validate_ok_and_failing(tmp_path, capsys):
     good = tmp_path / "good.obj"
     good.write_text("v 0 0\nv 1 0\nv 0 1\nf 1 2 3\n")

@@ -1,5 +1,8 @@
+import errno
 import os
+import stat
 import tempfile
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from remeshx import fileio
 from remeshx import (FormatError, Mesh, bitwise_equal, equivalent, grid_quads, read_bin,
                      read_obj, vertex_bits, write_bin, write_obj)
 from remeshx.fileio import _RMX_HEADER, _RMX_MAGIC
@@ -354,3 +358,90 @@ def test_writers_round_trip_bit_exactly_or_refuse(mesh):
         else:
             write_obj(mesh, obj)
             assert bitwise_equal(read_obj(obj), mesh)
+
+
+class _FailingWrites:
+    """A writer's file handle whose second ``write`` writes half its data, then fails."""
+
+    def __init__(self, handle):
+        self.handle, self.writes = handle, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            self.handle.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.handle.write(data)
+
+
+WRITERS = {"obj": write_obj, "rmx": write_bin}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["missing", "existing"])
+@pytest.mark.parametrize("suffix", sorted(WRITERS))
+def test_a_failed_write_leaves_the_target_as_it_was(tmp_path, monkeypatch, suffix, existing):
+    # the disk fills after the vertex block: the target is unchanged or absent, and no
+    # temporary is left beside it
+    path = tmp_path / f"m.{suffix}"
+    if existing:
+        path.write_bytes(b"the old file\n")
+    before = sorted(os.listdir(tmp_path))
+    monkeypatch.setattr(fileio, "open", lambda *a, **k: _FailingWrites(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        WRITERS[suffix](grid_quads(4), path)
+    assert sorted(os.listdir(tmp_path)) == before
+    assert not existing or path.read_bytes() == b"the old file\n"
+
+
+@pytest.mark.parametrize("suffix", sorted(WRITERS))
+def test_writers_replace_a_file_keeping_its_mode_and_create_one_under_the_umask(
+        tmp_path, suffix):
+    umask = os.umask(0o022)
+    os.umask(umask)
+    mesh, path = grid_quads(4), tmp_path / f"m.{suffix}"
+    WRITERS[suffix](mesh, path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    fresh = path.read_bytes()
+    path.write_bytes(b"the old file\n")
+    path.chmod(0o640)
+    WRITERS[suffix](mesh, path)
+    assert path.read_bytes() == fresh and stat.S_IMODE(path.stat().st_mode) == 0o640
+    # a symlink keeps naming the file, whose contents are replaced
+    (tmp_path / "sub").mkdir()
+    link = tmp_path / "sub" / f"link.{suffix}"
+    link.symlink_to(path)
+    path.write_bytes(b"the old file\n")
+    WRITERS[suffix](mesh, link)
+    assert link.is_symlink() and path.read_bytes() == fresh
+    assert sorted(os.listdir(tmp_path)) == sorted([path.name, "sub"])
+    assert os.listdir(tmp_path / "sub") == [link.name]
+
+
+def test_writers_refuse_a_missing_directory_naming_the_target(tmp_path):
+    path = tmp_path / "none" / "m.rmx"
+    with pytest.raises(FileNotFoundError) as err:
+        write_bin(grid_quads(4), path)
+    assert err.value.filename == str(path)
+
+
+@needs_fifo
+@pytest.mark.parametrize("suffix", sorted(WRITERS))
+def test_writers_write_a_fifo_in_place(tmp_path, suffix):
+    mesh, regular, fifo = grid_quads(4), tmp_path / f"m.{suffix}", tmp_path / f"p.{suffix}"
+    WRITERS[suffix](mesh, regular)
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    WRITERS[suffix](mesh, fifo)
+    reader.join(timeout=10)
+    assert got == [regular.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == sorted([regular.name, fifo.name])

@@ -84,6 +84,19 @@ def test_blocks_cover_the_rows_with_a_clipped_last_block(monkeypatch):
     assert list(blocks(0)) == []
 
 
+def test_blocks_of_wide_items_hold_about_one_block_of_values(monkeypatch):
+    monkeypatch.setattr("remeshx.mesh.BLOCK_ROWS", 7)
+
+    def spans(n, *width):
+        return [(b.start, b.stop) for b in blocks(n, *width)]
+
+    assert spans(16, 1) == spans(16) == [(0, 7), (7, 14), (14, 16)]
+    assert spans(16, 0) == spans(16, 1)  # items of no values: one block of items per slice
+    assert spans(7, 2) == [(0, 3), (3, 6), (6, 7)]
+    assert spans(3, 7) == spans(3, 8) == spans(3, 1 << 20) == [(0, 1), (1, 2), (2, 3)]
+    assert spans(0, 0) == spans(0, 8) == []
+
+
 def test_only_mesh_names_the_block_size():
     # every blocked loop iterates mesh.blocks, so patching remeshx.mesh.BLOCK_ROWS reaches
     # them all; an import or a name of it elsewhere would be a second, unpatched copy

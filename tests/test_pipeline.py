@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 import weakref
 
@@ -131,6 +132,36 @@ def test_flag_first_occurrences_worked():
 def test_flag_first_occurrences_trivial():
     assert flag_first_occurrences(vtx(A, B, C)).all()
     assert flag_first_occurrences(vtx(A, A, A, A)).astype(int).tolist() == [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("n,dim", [(0, 5), (1, 11), (2, 11), (3, 11), (5, 17), (40, 3)])
+def test_flag_first_occurrences_in_tiles_of_components(monkeypatch, block, n, dim):
+    # tiles of block // n components (at least one) split the components unevenly; rows
+    # repeat, or differ from another in one bit of its last, first or a middle component,
+    # whose bits may be a NaN's or a signed zero's
+    monkeypatch.setattr("remeshx.mesh.BLOCK_ROWS", block)
+    rng = np.random.default_rng(dim * block + n)
+    pool = np.tile(rng.choice(np.array(RAW_BITS, np.uint32), size=dim), (4, 1))
+    pool[[1, 2, 3], [dim - 1, 0, dim // 2]] ^= np.array([0x80000000, 1, 0x400000], np.uint32)
+    bits = pool[rng.permutation(np.resize([0, 1, 0, 2, 2, 3, 3], n))]
+    nodup = flag_first_occurrences(bits.view(np.float32))
+    want = [i == 0 or bits[i].tobytes() != bits[i - 1].tobytes() for i in range(n)]
+    assert nodup.tolist() == want
+
+
+@pytest.mark.parametrize("same", [False, True])
+def test_flag_first_occurrences_of_two_wide_rows_is_quick(same):
+    # one compare per component took 1.5 s on a 2-vCPU VM; tiles of one block take about 1 ms
+    rows = np.random.default_rng(0).standard_normal((2, 1 << 20), dtype=np.float32)
+    rows[1] = rows[0] if same else rows[1]
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        nodup = flag_first_occurrences(rows)
+        times.append(time.perf_counter() - start)
+    assert nodup.tolist() == [True, not same]
+    assert min(times) < 0.25, f"{min(times):.3f} s"
 
 
 def test_compute_new_indices_worked():

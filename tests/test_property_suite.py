@@ -69,3 +69,18 @@ def test_check_all_sample_of_seeds():
                               arity=[3, 4][seed % 2])
         report = check_all(random_mesh(spec))
         assert all(report.values()), (seed, report)
+
+
+def test_check_all_on_criterion_4_meshes_at_a_block_of_3_rows(monkeypatch):
+    # every blocked loop iterates mesh.blocks, so this one patch moves every block boundary:
+    # criterion 4's meshes (45 vertices at the median) then cross many of them; its first
+    # 500 seeds cover each dup, unused and arity combination 27 or 28 times
+    monkeypatch.setattr("remeshx.mesh.BLOCK_ROWS", 3)
+    fractions = [0.0, 0.25, 0.5]
+    for seed in range(500):
+        spec = RandomMeshSpec(seed=seed,
+                              dup_fraction=fractions[seed % 3],
+                              unused_fraction=fractions[(seed // 3) % 3],
+                              arity=[3, 4][(seed // 9) % 2])
+        report = check_all(random_mesh(spec))
+        assert all(report.values()), (seed, report)
