@@ -122,12 +122,13 @@ def _packed_fields(bits: np.ndarray, room: int) -> list[list[_Field]]:
 def _varying_bits(bits: np.ndarray) -> np.ndarray:
     """Per component, the bits set in some row and clear in another, as uint32.
 
-    Each block of rows is reduced 64 rows to a line (fewer rows take one line), so
-    every reduction step runs over ``64 * dim`` lanes at most, not ``dim``.  The read
-    stops early once every component varies in its bits 0 and 31: its field is then
-    the whole word, and the rest of the rows cannot change the plan.
+    Each block is reduced ``lanes`` rows to a line, so a reduction step runs over
+    ``lanes * dim`` lanes, not ``dim``: 64 rows cut by :func:`~remeshx.mesh.blocks` to at
+    most one block of values and at least one row.  The read stops early once every
+    component varies in its bits 0 and 31: its field is then the whole word, and the
+    rest of the rows cannot change the plan.
     """
-    dim, lanes = bits.shape[1], max(1, min(64, len(bits)))
+    dim, lanes = bits.shape[1], next(blocks(64, bits.shape[1])).stop
     any_set = np.zeros(lanes * dim, np.uint32)
     all_set = np.full(lanes * dim, 0xFFFFFFFF, np.uint32)
     varying = np.zeros(dim, np.uint32)

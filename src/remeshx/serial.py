@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import Mesh, dereference, soups_equal, vertex_bits
-from .pipeline import compute_sort_permutation
 
 
 def reindex_serial(mesh: Mesh) -> Mesh:
@@ -46,5 +45,7 @@ def equivalent(a: Mesh, b: Mesh) -> bool:
         return False
     if a.vertices.shape != b.vertices.shape:
         return False
-    sorted_a, sorted_b = (compute_sort_permutation(m.vertices)[0] for m in (a, b))
-    return bool(np.array_equal(vertex_bits(sorted_a), vertex_bits(sorted_b)))
+    # each side's uint32 rows put in order by np.lexsort, not by the sort the pipeline runs
+    sorted_a, sorted_b = (bits[np.lexsort(bits.T[::-1])]
+                          for bits in (vertex_bits(m.vertices) for m in (a, b)))
+    return bool(np.array_equal(sorted_a, sorted_b))

@@ -1,8 +1,10 @@
 import contextlib
 import os
+import struct
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +45,82 @@ def test_reindex_in_place_equals_reindex_to_a_new_file(tmp_path, capsys, suffix)
     assert run(capsys, "reindex", same, same)[0] == 0
     assert same.read_bytes() == ref.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([grid.name, ref.name, same.name])
+
+
+STATS = ("vertices:  {} (dim {})\nelements:  {} (arity {})\n"
+         "duplicate vertices: {}\nunused vertices:    {}\n")
+
+
+def test_the_ci_cli_step_through_main(tmp_path, capsys, monkeypatch):
+    # the CLI step of .github/workflows/tier1.yml, with its expected bytes and text; each
+    # derived file must equal reindex of the same input byte for byte
+    monkeypatch.chdir(tmp_path)
+
+    def ok(*args):
+        code, out, err = run(capsys, *args)
+        assert (code, err) == (0, ""), args
+        return out
+
+    def same(path, ref):
+        assert Path(path).read_bytes() == Path(ref).read_bytes(), path
+
+    # grids of one block of rows (n 64) and of two (n 128)
+    for n, counts in ((64, (20480, 2, 4096, 4, 12159, 4096)),
+                      (128, (81920, 2, 16384, 4, 48895, 16384))):
+        ok("gen", "--n", n, f"g{n}.rmx")
+        assert ok("stats", f"g{n}.rmx") == STATS.format(*counts)
+        ok("reindex", f"g{n}.rmx", f"ref{n}.rmx")
+        for derived in (["soup", f"g{n}.rmx", "s.rmx"], ["merge", f"g{n}.rmx", "s.rmx"],
+                        ["subset", f"g{n}.rmx", "s.rmx", "--keep", f"0-{n * n - 1}"]):
+            ok(*derived)
+            same("s.rmx", f"ref{n}.rmx")
+    # the OBJ round trip
+    ok("reindex", "g64.rmx", "g.obj")
+    assert ok("stats", "g.obj") == STATS.format(4225, 2, 4096, 4, 0, 0)
+    ok("reindex", "g.obj", "back.rmx")
+    same("back.rmx", "ref64.rmx")
+    # two tiles sharing a border, merged, against reindex of their concatenation
+    g = grid_quads(64)
+    tiles = [Mesh(g.vertices + np.float32([64 * k, 0]), g.elements) for k in (0, 1)]
+    write_bin(tiles[0], "t0.rmx")
+    write_bin(tiles[1], "t1.rmx")
+    write_bin(Mesh(np.vstack([t.vertices for t in tiles]),
+                   np.vstack([g.elements, g.elements + g.n_vertices])), "cat.rmx")
+    ok("merge", "t0.rmx", "t1.rmx", "m.rmx")
+    ok("reindex", "cat.rmx", "catref.rmx")
+    same("m.rmx", "catref.rmx")
+    # full-width random floats: the sort packs no two components into one word
+    r = np.random.default_rng(7)
+    write_bin(Mesh(r.standard_normal((2000, 3), dtype=np.float32)[r.integers(0, 2000, 6000)],
+                   r.integers(0, 5000, (4000, 3)).astype(np.uint32)), "f.rmx")
+    ok("reindex", "f.rmx", "fref.rmx")
+    ok("soup", "f.rmx", "fs.rmx")
+    same("fs.rmx", "fref.rmx")
+    ok("reindex", "fref.rmx", "fagain.rmx")
+    same("fagain.rmx", "fref.rmx")
+    # three rows of 4096 components, two of them equal
+    a, b = np.random.default_rng(9).standard_normal((2, 4096), dtype=np.float32)
+    write_bin(Mesh(np.stack([a, b, a]), [[0, 1, 2]]), "w.rmx")
+    assert ok("stats", "w.rmx") == STATS.format(3, 4096, 1, 3, 1, 0)
+    ok("reindex", "w.rmx", "wref.rmx")
+    for command in ("soup", "merge"):
+        ok(command, "w.rmx", "ws.rmx")
+        same("ws.rmx", "wref.rmx")
+    # an index past the vertex count: exit 1 without a traceback, each bad slot named
+    Path("bad.rmx").write_bytes(struct.pack("<4sIIQQ2f3I", b"RMX1", 2, 3, 1, 1, 0, 0, 0, 1, 2))
+    for command in ("stats", "validate"):
+        code, out, err = run(capsys, command, "bad.rmx")
+        assert code == 1 and "Traceback" not in err
+    assert (out, err) == ("bad.rmx: 2 issue(s)\n", "element 0 slot 1: index 1 out of range\n"
+                                                   "element 0 slot 2: index 2 out of range\n")
+    # the console entry point, with every warning an error
+    env = dict(os.environ, PYTHONWARNINGS="error",
+               PYTHONPATH=os.path.dirname(os.path.dirname(remeshx.__file__)))
+    done = subprocess.run([sys.executable, "-c", "from remeshx.cli import entry; entry()",
+                           "stats", "w.rmx"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == STATS.format(3, 4096, 1, 3, 1, 0)
 
 
 def test_validate_ok_and_failing(tmp_path, capsys):

@@ -325,6 +325,17 @@ def test_reindex_leaves_full_scratch_to_first_access(worked_mesh):
     assert scratch.new_idx.tolist() == [0, 0, 0, 1, 2, 2, 3, 3, 4, 5]
 
 
+def test_scratch_new_idx_and_nodup_do_not_build_org_id():
+    # new_idx is the filled table sorted by value, the same values its gather through
+    # the stable order gives, so reading it and nodup runs no second bitwise sort
+    _, scratch = reindex(grid_quads(64))
+    new_idx, nodup = scratch.new_idx, scratch.nodup
+    assert "org_id" not in vars(scratch)
+    assert new_idx.dtype == np.uint32
+    assert new_idx.tobytes() == scratch._filled()[scratch.org_id].tobytes()
+    assert nodup.tolist() == (np.diff(new_idx, prepend=-1) != 0).tolist()
+
+
 def test_reindex_scratch_compares_by_identity():
     # array fields make field-wise equality ambiguous, so records compare and hash by identity
     s1, s2 = reindex(grid_quads(2))[1], reindex(grid_quads(2))[1]

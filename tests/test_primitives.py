@@ -22,7 +22,7 @@ _AWKWARD_BITS = [0x00000000, 0x80000000, 0x7FC00000, 0x7FC00123, 0xFFC00001,
     .map(lambda rows: np.array(rows, np.uint32).reshape(len(rows), dim))))
 def test_bitwise_sort_order_equals_stable_lexsort_of_bit_rows(bits):
     vertices = bits.view(np.float32)
-    # the reference is computed here: serial.equivalent sorts with the function under test
+    # serial.equivalent orders vertex rows by this same np.lexsort: the two orders must agree
     expected = np.lexsort(vertex_bits(vertices).T[::-1])
     order = bitwise_sort_order(vertices)
     assert order.dtype == np.uint32
@@ -164,6 +164,17 @@ def test_sort_of_used_rows_holds_at_most_twelve_bytes_per_used_row(dim):
     n_used = np.count_nonzero(used)
     peak = traced_peak(bitwise_sort_order, keys, used)
     assert peak <= 12 * n_used + (1 << 20), f"{peak / n_used:.2f} bytes per used row"
+
+
+def test_sort_of_wide_rows_holds_its_plan_lanes_to_one_block():
+    # the plan's read reduces rows into lanes that hold at most one block of values:
+    # 64 lanes of 2^16 components each held 48.25 MiB
+    n, dim = 64, 1 << 16
+    keys = np.zeros((n, dim), np.float32)
+    keys[:, [0, 1000, dim - 1]] = np.random.default_rng(8).integers(0, 4, size=(n, 3))
+    peak = traced_peak(bitwise_sort_order, keys)
+    assert peak <= 12 * n + 24 * dim + (1 << 20), f"{peak / 2**20:.2f} MiB"
+    assert_sorts_like_lexsort(keys)
 
 
 def lexsort_of_used_rows(vertices, used=None):

@@ -1,7 +1,10 @@
+import ast
+import inspect
+
 import numpy as np
 
-from remeshx import (Mesh, bitwise_equal, equivalent, reindex, reindex_serial,
-                     vertex_bits)
+from remeshx import (Mesh, RandomMeshSpec, bitwise_equal, equivalent, random_mesh, reindex,
+                     reindex_serial, serial, vertex_bits)
 from conftest import A, B, C, D, E, F, elems, vtx
 
 
@@ -56,3 +59,29 @@ def test_equivalent_detects_extra_unused_vertex():
     b = Mesh(vtx(A, B, C, F), elems((0, 1, 2)))
     # same soup but different vertex multisets
     assert not equivalent(a, b)
+
+
+def test_equivalent_runs_none_of_the_code_it_checks(monkeypatch):
+    # the oracle orders the vertex rows with np.lexsort, so a broken pipeline sort
+    # cannot make it agree with the pipeline; it imports from neither module
+    meshes = [random_mesh(RandomMeshSpec(seed=seed, dup_fraction=[0, 0.25, 0.5][seed % 3],
+                                         unused_fraction=[0, 0.25, 0.5][(seed // 3) % 3],
+                                         arity=[3, 4][(seed // 9) % 2])) for seed in (0, 10, 23)]
+    outs = [reindex(mesh)[0] for mesh in meshes]
+
+    def broken(*args):
+        raise AssertionError("the oracle ran the pipeline's sort")
+
+    monkeypatch.setattr("remeshx.pipeline._sort_order_buffer", broken)
+    for mesh, out in zip(meshes, outs):
+        serial_out = reindex_serial(mesh)
+        assert equivalent(out, serial_out) and equivalent(serial_out, out)
+        # the same vertex count and soup, but one vertex changed that no element uses
+        spare = Mesh(np.vstack([serial_out.vertices, serial_out.vertices[:1]]),
+                     serial_out.elements)
+        other = Mesh(np.vstack([serial_out.vertices, serial_out.vertices[:1] + 1]),
+                     serial_out.elements)
+        assert equivalent(spare, spare) and not equivalent(spare, other)
+    imported = {node.module for node in ast.walk(ast.parse(inspect.getsource(serial)))
+                if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"pipeline", "primitives"}, imported
